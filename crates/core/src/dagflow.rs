@@ -24,19 +24,18 @@
 //! parity tests gate at 1e-12; the only difference is the association
 //! order of the NV-block sum and the band reduction).
 
-use crate::chi::{ChiConfig, ChiEngine};
-use crate::coulomb::Coulomb;
-use crate::dyson::{qp_gap, solve_qp_diag};
+use crate::chi::ChiEngine;
+use crate::dyson::three_point_grids;
 use crate::epsilon::EpsilonInverse;
 use crate::gpp::GppModel;
-use crate::mtxel::Mtxel;
+use crate::service::prefix;
 use crate::sigma::diag::{gpp_sigma_diag, SigmaDiagResult};
 use crate::sigma::SigmaContext;
-use crate::workflow::{GwConfig, GwResults, GwTimings, SigmaDims};
+use crate::workflow::{gw_results, GwConfig, GwResults, GwTimings};
 use bgw_linalg::CMatrix;
 use bgw_num::Complex64;
 use bgw_par::dag::{DagStats, TaskGraph};
-use bgw_pwdft::{charge_density_g, solve_bands, ModelSystem};
+use bgw_pwdft::{charge_density_g, ModelSystem};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -157,54 +156,23 @@ pub(crate) fn run_gpp_gw_dag_injected(
     let _run_span = bgw_trace::span!("workflow.gpp_gw_dag");
     let counters0 = bgw_perf::counters::snapshot();
     let mut timings = GwTimings::default();
-    let wfn_sph = system.wfn_sphere();
-    let eps_sph = system.eps_sphere();
 
     // The graph's shape (NV-block count, Sigma band set, energy grids)
     // is a function of the solved bands, so the mean field runs up
     // front — it is internally pool-parallel already. Everything
     // downstream is task-scheduled.
-    let t = Instant::now();
-    let wf = {
-        let _s = bgw_trace::span!("workflow.meanfield");
-        solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len()))
-    };
-    timings.t_meanfield = t.elapsed().as_secs_f64();
-
-    let coulomb = if cfg.slab {
-        Coulomb::slab(
-            system.crystal.lattice.a[2][2],
-            system.crystal.lattice.volume(),
-        )
-    } else {
-        Coulomb::bulk_for_cell(system.crystal.lattice.volume())
-    };
-    let mtxel = Mtxel::new(&wfn_sph, &eps_sph);
-    let chi_cfg = ChiConfig {
-        q0: coulomb.q0,
-        ..cfg.chi
-    };
-    let vsqrt = coulomb.sqrt_on_sphere(&eps_sph);
-    let volume = system.crystal.lattice.volume();
-
-    let nv = wf.n_valence;
-    let k = cfg.bands_around_gap.max(1);
-    let sigma_bands: Vec<usize> = (nv.saturating_sub(k)..(nv + k).min(wf.n_bands())).collect();
-    let d = cfg.sampling_delta_ry;
+    let p = prefix(system, cfg, &mut timings);
+    let sigma_bands = cfg.sigma_bands(&p.wf);
     // ctx.sigma_energies is wf.energies[l] by construction, so the grids
     // can be fixed before the context exists.
-    let grids: Vec<Vec<f64>> = sigma_bands
-        .iter()
-        .map(|&l| {
-            let e = wf.energies[l];
-            vec![e - d, e, e + d]
-        })
-        .collect();
+    let band_energies: Vec<f64> = sigma_bands.iter().map(|&l| p.wf.energies[l]).collect();
+    let grids = three_point_grids(&band_energies, cfg.sampling_delta_ry);
 
     // Static GPP screening: one frequency node. The per-frequency task
     // layout below generalizes unchanged to a full-frequency grid.
     let omegas = [0.0f64];
-    let nvb = chi_cfg.nv_block.max(1);
+    let nv = p.wf.n_valence;
+    let nvb = p.chi_cfg.nv_block.max(1);
     let blocks: Vec<(usize, usize)> = (0..nv)
         .step_by(nvb)
         .map(|v0| (v0, (v0 + nvb).min(nv)))
@@ -216,7 +184,7 @@ pub(crate) fn run_gpp_gw_dag_injected(
     let t = Instant::now();
     let engine = {
         let _s = bgw_trace::span!("workflow.chi");
-        ChiEngine::new(&wf, &mtxel, chi_cfg)
+        ChiEngine::new(&p.wf, &p.mtxel, p.chi_cfg)
     };
     timings.t_chi = t.elapsed().as_secs_f64();
 
@@ -237,12 +205,13 @@ pub(crate) fn run_gpp_gw_dag_injected(
 
     let stats = {
         let mut g = TaskGraph::new();
-        let wf = &wf;
-        let mtxel = &mtxel;
-        let wfn_sph = &wfn_sph;
-        let eps_sph = &eps_sph;
-        let coulomb = &coulomb;
-        let vsqrt = &vsqrt;
+        let wf = &p.wf;
+        let mtxel = &p.mtxel;
+        let wfn_sph = &p.wfn_sph;
+        let eps_sph = &p.eps_sph;
+        let coulomb = &p.coulomb;
+        let vsqrt = &p.vsqrt;
+        let volume = p.volume;
         let sigma_bands = &sigma_bands;
         let grids = &grids;
         let omegas = &omegas;
@@ -483,7 +452,6 @@ pub(crate) fn run_gpp_gw_dag_injected(
         task: "assembly",
         input: "epsilon inverse",
     })?;
-    let eps_macro = eps_inv.macroscopic_constant();
     let mut sigma = Vec::with_capacity(sigma_bands.len());
     let mut sigma_flops = 0u64;
     let mut sigma_seconds = 0.0;
@@ -502,37 +470,25 @@ pub(crate) fn run_gpp_gw_dag_injected(
     }
     let diag = SigmaDiagResult {
         sigma,
-        e_grids: grids.clone(),
+        e_grids: grids,
         seconds: sigma_seconds,
         flops: sigma_flops,
     };
-    let states = solve_qp_diag(&ctx.sigma_energies, &diag);
-    let gap_qp = qp_gap(&states, ctx.homo_pos(), ctx.lumo_pos());
 
     let stage = stage_s.into_inner().unwrap_or_else(|e| e.into_inner());
     timings.t_chi += stage.0[StageSeconds::CHI];
     timings.t_epsilon = stage.0[StageSeconds::EPSILON];
     timings.t_mtxel_sigma = stage.0[StageSeconds::MTXEL_SIGMA];
     timings.t_sigma = sigma_seconds.max(stage.0[StageSeconds::SIGMA]);
-    timings.substrate = counters0.delta(&bgw_perf::counters::snapshot());
-
-    let dims = SigmaDims {
-        n_sigma: ctx.n_sigma(),
-        n_b: ctx.n_b(),
-        n_g: ctx.n_g(),
-        n_e: grids.first().map_or(0, Vec::len),
-    };
     Ok(DagGwResults {
-        results: GwResults {
-            sigma_bands,
-            states,
-            gap_mf_ry: wf.gap_ry(),
-            gap_qp_ry: gap_qp,
-            eps_macro,
+        results: gw_results(
+            &ctx,
+            p.wf.gap_ry(),
+            eps_inv.macroscopic_constant(),
+            diag,
             timings,
-            sigma_flops,
-            dims,
-        },
+            &counters0,
+        ),
         stats,
     })
 }

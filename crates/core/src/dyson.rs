@@ -27,6 +27,20 @@ pub struct QpState {
     pub e_qp: f64,
 }
 
+/// The 3-point sampling grid `[e - delta, e, e + delta]` (Ry) the
+/// diagonal solve interpolates Sigma and its slope on.
+pub fn three_point_grid(e: f64, delta_ry: f64) -> Vec<f64> {
+    vec![e - delta_ry, e, e + delta_ry]
+}
+
+/// One [`three_point_grid`] per mean-field energy.
+pub fn three_point_grids(energies: &[f64], delta_ry: f64) -> Vec<Vec<f64>> {
+    energies
+        .iter()
+        .map(|&e| three_point_grid(e, delta_ry))
+        .collect()
+}
+
 /// Solves the diagonal quasiparticle equation for every band of a diag
 /// result. Each band's grid must contain at least 2 points bracketing its
 /// `E^MF` (3-point grids centered on `E^MF` are the usual choice).
@@ -176,12 +190,7 @@ mod tests {
     fn gw_opens_the_gap() {
         // The headline physics check: QP gap > mean-field gap.
         let (ctx, setup) = testkit::small_context();
-        let delta = 0.05;
-        let grids: Vec<Vec<f64>> = ctx
-            .sigma_energies
-            .iter()
-            .map(|&e| vec![e - delta, e, e + delta])
-            .collect();
+        let grids = three_point_grids(&ctx.sigma_energies, 0.05);
         let diag = gpp_sigma_diag(&ctx, &grids, KernelVariant::Optimized);
         let states = solve_qp_diag(&ctx.sigma_energies, &diag);
         let mf_gap = setup.wf.gap_ry();

@@ -59,13 +59,11 @@ pub use resilient::{
     ResilientError, ResilientGwReport, MAX_RECOVERIES,
 };
 pub use restart::{
-    band_slice, run_evgw_checkpointed, run_gpp_gw_checkpointed, CheckpointPolicy, GwStage,
-    RestartError,
+    run_evgw_checkpointed, run_gpp_gw_checkpointed, CheckpointPolicy, GwStage, RestartError,
 };
 pub use service::{
-    band_subset, build_screening, ff_eval, gpp_eval_preemptible, screening_from_checkpoint,
-    screening_to_checkpoint, sigma_context, FfEvalResult, FfSpec, GppEvalResult, GppOutcome,
-    GppPartial, Screening,
+    band_subset, build_screening, ff_eval, screening_from_checkpoint, screening_to_checkpoint,
+    sigma_context, FfEvalResult, FfSpec, Screening,
 };
 pub use sigma::diag::{gpp_sigma_diag, KernelVariant, SigmaDiagResult};
 pub use sigma::fullfreq::{

@@ -20,21 +20,18 @@
 //! tasks whose owner died instead of re-running the survivors' work
 //! (DESIGN.md Sec. 14).
 
-use crate::chi::{try_chi_distributed, ChiConfig, ChiEngine};
-use crate::coulomb::Coulomb;
-use crate::dyson::{qp_gap, solve_qp_diag, QpState};
+use crate::chi::{try_chi_distributed, ChiEngine};
+use crate::dyson::{qp_gap, solve_qp_diag, three_point_grids, QpState};
 use crate::epsilon::{EpsilonError, EpsilonInverse};
-use crate::gpp::GppModel;
-use crate::mtxel::Mtxel;
+use crate::service::{finish_screening, prefix};
 use crate::sigma::diag::{gpp_sigma_diag_partial, try_gpp_sigma_diag_distributed, SigmaDiagResult};
-use crate::sigma::SigmaContext;
-use crate::workflow::GwConfig;
+use crate::workflow::{window_context, GwConfig, GwTimings};
 use bgw_comm::{Comm, CommError};
 use bgw_dist::{try_invert_epsilon_distributed, DistError, DistMatrix};
 use bgw_linalg::CMatrix;
 use bgw_num::{c64, Complex64};
 use bgw_par::dag::TaskGraph;
-use bgw_pwdft::{charge_density_g, solve_bands, ModelSystem};
+use bgw_pwdft::ModelSystem;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -212,47 +209,23 @@ pub fn run_gpp_gw_resilient(
     comm: &Comm,
 ) -> Result<ResilientGwReport, ResilientError> {
     let mut cursor = CommCursor::new(comm);
-    let wfn_sph = system.wfn_sphere();
-    let eps_sph = system.eps_sphere();
-    let wf = solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len()));
-    let coulomb = Coulomb::bulk_for_cell(system.crystal.lattice.volume());
-    let mtxel = Mtxel::new(&wfn_sph, &eps_sph);
-    let chi_cfg = ChiConfig {
-        q0: coulomb.q0,
-        ..cfg.chi
-    };
+    let mut timings = GwTimings::default();
+    let p = prefix(system, cfg, &mut timings);
 
     // CHI: round-robin valence split + allreduce, re-split on shrink.
     let chi0 = with_recovery(&mut cursor, |c| {
-        Ok(try_chi_distributed(c, &wf, &mtxel, chi_cfg, &[0.0])?
+        Ok(try_chi_distributed(c, &p.wf, &p.mtxel, p.chi_cfg, &[0.0])?
             .pop()
             .unwrap())
     })?;
 
     // Epsilon: distributed Newton-Schulz inversion, replicated at the end.
-    let vsqrt = coulomb.sqrt_on_sphere(&eps_sph);
-    let eps_inv = epsilon_stage(&mut cursor, &chi0, &vsqrt)?;
-    let eps_macro = eps_inv.macroscopic_constant();
+    let eps_inv = epsilon_stage(&mut cursor, &chi0, &p.vsqrt)?;
 
     // Sigma: G'-sliced diag kernel + allreduce, re-sliced on shrink.
-    let rho = charge_density_g(&wf, &wfn_sph);
-    let gpp = GppModel::new(
-        &eps_inv,
-        &eps_sph,
-        &wfn_sph,
-        &rho,
-        system.crystal.lattice.volume(),
-    );
-    let nv = wf.n_valence;
-    let k = cfg.bands_around_gap.max(1);
-    let sigma_bands: Vec<usize> = (nv.saturating_sub(k)..(nv + k).min(wf.n_bands())).collect();
-    let ctx = SigmaContext::build(&wf, &mtxel, gpp, &vsqrt, &sigma_bands, coulomb.q0);
-    let d = cfg.sampling_delta_ry;
-    let grids: Vec<Vec<f64>> = ctx
-        .sigma_energies
-        .iter()
-        .map(|&e| vec![e - d, e, e + d])
-        .collect();
+    let s = finish_screening(p, eps_inv, None);
+    let ctx = window_context(&s, cfg, &mut timings);
+    let grids = three_point_grids(&ctx.sigma_energies, cfg.sampling_delta_ry);
     let diag = with_recovery(&mut cursor, |c| {
         try_gpp_sigma_diag_distributed(c, &ctx, &grids)
     })?;
@@ -260,10 +233,10 @@ pub fn run_gpp_gw_resilient(
     let states = solve_qp_diag(&ctx.sigma_energies, &diag);
     let gap_qp = qp_gap(&states, ctx.homo_pos(), ctx.lumo_pos());
     Ok(ResilientGwReport {
-        sigma_bands,
+        sigma_bands: ctx.sigma_bands.clone(),
         states,
         gap_qp_ry: gap_qp,
-        eps_macro,
+        eps_macro: s.eps_macro,
         final_size: cursor.get().size(),
         recoveries: cursor.recoveries(),
     })
@@ -466,21 +439,14 @@ pub fn run_gpp_gw_resilient_dag(
 ) -> Result<ResilientDagReport, ResilientError> {
     let mut cursor = CommCursor::new(comm);
     let mut reenqueued = 0usize;
-    let wfn_sph = system.wfn_sphere();
-    let eps_sph = system.eps_sphere();
-    let wf = solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len()));
-    let coulomb = Coulomb::bulk_for_cell(system.crystal.lattice.volume());
-    let mtxel = Mtxel::new(&wfn_sph, &eps_sph);
-    let chi_cfg = ChiConfig {
-        q0: coulomb.q0,
-        ..cfg.chi
-    };
+    let mut timings = GwTimings::default();
+    let p = prefix(system, cfg, &mut timings);
 
     // CHI: one task per valence band, owners fixed round-robin over the
     // initial ranks — a lost rank orphans exactly its bands.
-    let engine = ChiEngine::new(&wf, &mtxel, chi_cfg);
+    let engine = ChiEngine::new(&p.wf, &p.mtxel, p.chi_cfg);
     let ng = engine.n_g();
-    let nv = wf.n_valence;
+    let nv = p.wf.n_valence;
     let chi_task = |v: usize| -> Vec<Complex64> {
         engine
             .chi_block_freqs(v, v + 1, &[0.0])
@@ -514,29 +480,13 @@ pub fn run_gpp_gw_resilient_dag(
     );
 
     // Epsilon: stage-granular by design (see `epsilon_stage`).
-    let vsqrt = coulomb.sqrt_on_sphere(&eps_sph);
-    let eps_inv = epsilon_stage(&mut cursor, &chi0, &vsqrt)?;
-    let eps_macro = eps_inv.macroscopic_constant();
+    let eps_inv = epsilon_stage(&mut cursor, &chi0, &p.vsqrt)?;
 
     // Sigma: G' slices overdecomposed 2x over the initial world, so the
     // shrunken world rebalances at task granularity.
-    let rho = charge_density_g(&wf, &wfn_sph);
-    let gpp = GppModel::new(
-        &eps_inv,
-        &eps_sph,
-        &wfn_sph,
-        &rho,
-        system.crystal.lattice.volume(),
-    );
-    let k = cfg.bands_around_gap.max(1);
-    let sigma_bands: Vec<usize> = (nv.saturating_sub(k)..(nv + k).min(wf.n_bands())).collect();
-    let ctx = SigmaContext::build(&wf, &mtxel, gpp, &vsqrt, &sigma_bands, coulomb.q0);
-    let d = cfg.sampling_delta_ry;
-    let grids: Vec<Vec<f64>> = ctx
-        .sigma_energies
-        .iter()
-        .map(|&e| vec![e - d, e, e + d])
-        .collect();
+    let s = finish_screening(p, eps_inv, None);
+    let ctx = window_context(&s, cfg, &mut timings);
+    let grids = three_point_grids(&ctx.sigma_energies, cfg.sampling_delta_ry);
     let ng_s = ctx.n_g();
     let n_slices = (comm.size() * 2).clamp(1, ng_s.max(1));
     let sigma_flops = AtomicU64::new(0);
@@ -592,10 +542,10 @@ pub fn run_gpp_gw_resilient_dag(
     let states = solve_qp_diag(&ctx.sigma_energies, &diag);
     let gap_qp = qp_gap(&states, ctx.homo_pos(), ctx.lumo_pos());
     Ok(ResilientDagReport {
-        sigma_bands,
+        sigma_bands: ctx.sigma_bands.clone(),
         states,
         gap_qp_ry: gap_qp,
-        eps_macro,
+        eps_macro: s.eps_macro,
         final_size: cursor.get().size(),
         recoveries: cursor.recoveries(),
         tasks_total: nv + n_slices,

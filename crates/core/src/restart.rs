@@ -16,18 +16,18 @@
 //! any checkpoint boundary and resumed reproduces the uninterrupted run's
 //! quasiparticle energies to 1e-10.
 
-use crate::chi::{ChiConfig, ChiEngine, ChiTimings};
-use crate::coulomb::Coulomb;
-use crate::dyson::{qp_gap, solve_qp_diag};
+use crate::chi::{ChiEngine, ChiTimings};
+use crate::dyson::three_point_grids;
 use crate::epsilon::EpsilonInverse;
-use crate::gpp::GppModel;
-use crate::mtxel::Mtxel;
+use crate::service::{band_subset, finish_screening, prefix};
 use crate::sigma::diag::{gpp_sigma_diag, SigmaDiagResult};
-use crate::sigma::SigmaContext;
-use crate::workflow::{EvGwResults, GwConfig, GwResults, GwTimings};
+use crate::workflow::{
+    evgw_iterate, gw_results, screened_context, window_context, EvGwResults, GwConfig, GwResults,
+    GwTimings,
+};
 use bgw_io::{read_latest_checkpoint, write_checkpoint, Checkpoint, IoError};
 use bgw_linalg::CMatrix;
-use bgw_pwdft::{charge_density_g, solve_bands, ModelSystem};
+use bgw_pwdft::ModelSystem;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -319,34 +319,15 @@ pub fn run_gpp_gw_checkpointed(
     cfg: &GwConfig,
     policy: &CheckpointPolicy,
 ) -> Result<GwResults, RestartError> {
-    let mut timings = GwTimings::default();
     let counters0 = bgw_perf::counters::snapshot();
-    let wfn_sph = system.wfn_sphere();
-    let eps_sph = system.eps_sphere();
-
-    let t = Instant::now();
-    let wf = solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len()));
-    timings.t_meanfield = t.elapsed().as_secs_f64();
-
-    let coulomb = if cfg.slab {
-        Coulomb::slab(
-            system.crystal.lattice.a[2][2],
-            system.crystal.lattice.volume(),
-        )
-    } else {
-        Coulomb::bulk_for_cell(system.crystal.lattice.volume())
-    };
-    let mtxel = Mtxel::new(&wfn_sph, &eps_sph);
-    let chi_cfg = ChiConfig {
-        q0: coulomb.q0,
-        ..cfg.chi
-    };
-    let engine = ChiEngine::new(&wf, &mtxel, chi_cfg);
+    let mut timings = GwTimings::default();
+    let p = prefix(system, cfg, &mut timings);
+    let engine = ChiEngine::new(&p.wf, &p.mtxel, p.chi_cfg);
     let ng = engine.n_g();
-    let stride = policy.chi_stride.unwrap_or(chi_cfg.nv_block).max(1);
+    let stride = policy.chi_stride.unwrap_or(p.chi_cfg.nv_block).max(1);
 
     let t_read = Instant::now();
-    let n_chunks = wf.n_valence.div_ceil(stride);
+    let n_chunks = p.wf.n_valence.div_ceil(stride);
     let (resume, next_index) = classify_gpp(read_latest_checkpoint(&policy.dir)?, ng, n_chunks)?;
     let mut writer = CkptWriter {
         policy: policy.clone(),
@@ -356,7 +337,7 @@ pub fn run_gpp_gw_checkpointed(
     };
 
     // ---- CHI accumulation, chunk by chunk -------------------------------
-    let valence: Vec<usize> = (0..wf.n_valence).collect();
+    let valence: Vec<usize> = (0..p.wf.n_valence).collect();
     let chunks: Vec<&[usize]> = valence.chunks(stride).collect();
     let (mut chi0, start_chunk, mut have_inv) = match &resume {
         GppResume::Fresh => (CMatrix::zeros(ng, ng), 0usize, None),
@@ -364,34 +345,31 @@ pub fn run_gpp_gw_checkpointed(
         GppResume::Epsilon { inv } => (CMatrix::zeros(0, 0), chunks.len(), Some(inv.clone())),
         GppResume::Sigma { inv, .. } => (CMatrix::zeros(0, 0), chunks.len(), Some(inv.clone())),
     };
-    if start_chunk < chunks.len() {
-        for (ci, chunk) in chunks.iter().enumerate().skip(start_chunk) {
-            let t = Instant::now();
-            let mut ct = ChiTimings::default();
-            let partial = engine
-                .chi_freqs_subset(&[0.0], Some(chunk), &mut ct)
-                .pop()
-                .unwrap();
-            for (a, b) in chi0.as_mut_slice().iter_mut().zip(partial.as_slice()) {
-                *a += *b;
-            }
-            timings.t_chi += t.elapsed().as_secs_f64();
-            writer.write(&Checkpoint {
-                stage: GwStage::ChiPartial as u64,
-                step: (ci + 1) as u64,
-                meta: vec![],
-                matrices: vec![chi0.clone()],
-            })?;
+    for (ci, chunk) in chunks.iter().enumerate().skip(start_chunk) {
+        let t = Instant::now();
+        let mut ct = ChiTimings::default();
+        let partial = engine
+            .chi_freqs_subset(&[0.0], Some(chunk), &mut ct)
+            .pop()
+            .unwrap();
+        for (a, b) in chi0.as_mut_slice().iter_mut().zip(partial.as_slice()) {
+            *a += *b;
         }
+        timings.t_chi += t.elapsed().as_secs_f64();
+        writer.write(&Checkpoint {
+            stage: GwStage::ChiPartial as u64,
+            step: (ci + 1) as u64,
+            meta: vec![],
+            matrices: vec![chi0.clone()],
+        })?;
     }
 
     // ---- Epsilon inversion ---------------------------------------------
-    let vsqrt = coulomb.sqrt_on_sphere(&eps_sph);
     let eps_inv = match have_inv.take() {
-        Some(inv) => EpsilonInverse::from_parts(vec![0.0], vec![inv], vsqrt.clone()),
+        Some(inv) => EpsilonInverse::from_parts(vec![0.0], vec![inv], p.vsqrt.clone()),
         None => {
             let t = Instant::now();
-            let built = EpsilonInverse::build(&[chi0], &[0.0], &coulomb, &eps_sph)?;
+            let built = EpsilonInverse::build(&[chi0], &[0.0], &p.coulomb, &p.eps_sph)?;
             timings.t_epsilon = t.elapsed().as_secs_f64();
             writer.write(&Checkpoint {
                 stage: GwStage::EpsilonDone as u64,
@@ -402,41 +380,12 @@ pub fn run_gpp_gw_checkpointed(
             built
         }
     };
-    let eps_macro = eps_inv.macroscopic_constant();
 
     // ---- Sigma, band by band -------------------------------------------
-    let rho = charge_density_g(&wf, &wfn_sph);
-    let gpp = GppModel::new(
-        &eps_inv,
-        &eps_sph,
-        &wfn_sph,
-        &rho,
-        system.crystal.lattice.volume(),
-    );
-    let nv = wf.n_valence;
-    let k = cfg.bands_around_gap.max(1);
-    let lo = nv.saturating_sub(k);
-    let hi = (nv + k).min(wf.n_bands());
-    let sigma_bands: Vec<usize> = (lo..hi).collect();
-
-    let t = Instant::now();
-    let ctx = SigmaContext::build(&wf, &mtxel, gpp, &vsqrt, &sigma_bands, coulomb.q0);
-    timings.t_mtxel_sigma = t.elapsed().as_secs_f64();
-
-    let d = cfg.sampling_delta_ry;
-    let grids: Vec<Vec<f64>> = ctx
-        .sigma_energies
-        .iter()
-        .map(|&e| vec![e - d, e, e + d])
-        .collect();
-    let n_grid = grids.first().map_or(0, |g| g.len());
-    let dims = crate::workflow::SigmaDims {
-        n_sigma: ctx.n_sigma(),
-        n_b: ctx.n_b(),
-        n_g: ctx.n_g(),
-        n_e: n_grid,
-    };
-
+    let s = finish_screening(p, eps_inv, None);
+    let ctx = window_context(&s, cfg, &mut timings);
+    let grids = three_point_grids(&ctx.sigma_energies, cfg.sampling_delta_ry);
+    let n_grid = grids.first().map_or(0, Vec::len);
     let (mut sigma, mut flops, start_band) = match resume {
         GppResume::Sigma {
             sigma,
@@ -446,23 +395,25 @@ pub fn run_gpp_gw_checkpointed(
         } => (sigma, flops, bands_done as usize),
         _ => (Vec::new(), 0u64, 0usize),
     };
-    let eps_inv_mat = eps_inv.inv[0].clone();
-    for s in start_band..ctx.n_sigma() {
+    for band in start_band..ctx.n_sigma() {
         let t = Instant::now();
-        let one = band_slice(&ctx, s);
-        let r = gpp_sigma_diag(&one, &grids[s..s + 1], cfg.variant);
+        let r = gpp_sigma_diag(
+            &band_subset(&ctx, &[band]),
+            &grids[band..band + 1],
+            cfg.variant,
+        );
         timings.t_sigma += t.elapsed().as_secs_f64();
-        sigma.push(r.sigma.into_iter().next().unwrap());
+        sigma.extend(r.sigma);
         flops += r.flops;
         let mut meta = vec![n_grid as f64, flops as f64];
-        for band in &sigma {
-            meta.extend_from_slice(band);
+        for row in &sigma {
+            meta.extend_from_slice(row);
         }
         writer.write(&Checkpoint {
             stage: GwStage::SigmaPartial as u64,
-            step: (s + 1) as u64,
+            step: (band + 1) as u64,
             meta,
-            matrices: vec![eps_inv_mat.clone()],
+            matrices: vec![s.eps_inv.inv[0].clone()],
         })?;
     }
 
@@ -472,42 +423,23 @@ pub fn run_gpp_gw_checkpointed(
         seconds: timings.t_sigma,
         flops,
     };
-    let states = solve_qp_diag(&ctx.sigma_energies, &diag);
-    let gap_qp = qp_gap(&states, ctx.homo_pos(), ctx.lumo_pos());
     timings.t_checkpoint = writer.t_checkpoint;
-    timings.substrate = counters0.delta(&bgw_perf::counters::snapshot());
-    Ok(GwResults {
-        sigma_bands,
-        states,
-        gap_mf_ry: wf.gap_ry(),
-        gap_qp_ry: gap_qp,
-        eps_macro,
+    Ok(gw_results(
+        &ctx,
+        s.wf.gap_ry(),
+        s.eps_macro,
+        diag,
         timings,
-        sigma_flops: diag.flops,
-        dims,
-    })
-}
-
-/// A one-band view of a [`SigmaContext`]: the checkpoint unit of the Sigma
-/// stage (and the preemption unit of the `bgw-serve` loop). Evaluating the
-/// slices in order reproduces the full-context kernel exactly (each band's
-/// sum is independent).
-pub fn band_slice(ctx: &SigmaContext, s: usize) -> SigmaContext {
-    SigmaContext {
-        m_tilde: vec![ctx.m_tilde[s].clone()],
-        energies: ctx.energies.clone(),
-        n_occ: ctx.n_occ,
-        gpp: ctx.gpp.clone(),
-        sigma_bands: vec![ctx.sigma_bands[s]],
-        sigma_energies: vec![ctx.sigma_energies[s]],
-    }
+        &counters0,
+    ))
 }
 
 /// [`run_evgw`](crate::workflow::run_evgw) with per-iteration
 /// checkpoint/restart. The screening prefix (CHI, epsilon, Sigma context)
 /// is deterministic and recomputed on resume; only the self-consistency
 /// iterate (QP energies + gap history) is snapshotted, after every
-/// iteration.
+/// iteration. Like [`run_evgw`](crate::workflow::run_evgw), a run with no
+/// iteration left to do returns its starting iterate.
 pub fn run_evgw_checkpointed(
     system: &ModelSystem,
     cfg: &GwConfig,
@@ -515,37 +447,12 @@ pub fn run_evgw_checkpointed(
     tol_ry: f64,
     policy: &CheckpointPolicy,
 ) -> Result<EvGwResults, RestartError> {
-    let wfn_sph = system.wfn_sphere();
-    let eps_sph = system.eps_sphere();
-    let wf = solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len()));
-    let coulomb = Coulomb::bulk_for_cell(system.crystal.lattice.volume());
-    let mtxel = Mtxel::new(&wfn_sph, &eps_sph);
-    let chi_cfg = ChiConfig {
-        q0: coulomb.q0,
-        ..cfg.chi
-    };
-    let chi0 = ChiEngine::new(&wf, &mtxel, chi_cfg).chi_static();
-    let eps_inv = EpsilonInverse::build(&[chi0], &[0.0], &coulomb, &eps_sph)?;
-    let rho = charge_density_g(&wf, &wfn_sph);
-    let gpp = GppModel::new(
-        &eps_inv,
-        &eps_sph,
-        &wfn_sph,
-        &rho,
-        system.crystal.lattice.volume(),
-    );
-    let vsqrt = coulomb.sqrt_on_sphere(&eps_sph);
-    let nv = wf.n_valence;
-    let k = cfg.bands_around_gap.max(1);
-    let sigma_bands: Vec<usize> = (nv.saturating_sub(k)..(nv + k).min(wf.n_bands())).collect();
-    let ctx = SigmaContext::build(&wf, &mtxel, gpp, &vsqrt, &sigma_bands, coulomb.q0);
-    let homo = ctx.homo_pos();
-    let lumo = ctx.lumo_pos();
+    let (_, ctx) = screened_context(system, cfg, &mut GwTimings::default())?;
     let n_sigma = ctx.n_sigma();
 
     // Resume the iterate if a valid evGW checkpoint exists.
     let found = read_latest_checkpoint(&policy.dir)?;
-    let (mut e_qp, mut gap_history, mut iterations, next_index) = match found {
+    let (start, next_index) = match found {
         Some((idx, ck)) if ck.stage == GwStage::EvGwIter as u64 => {
             // meta = [e_qp per sigma band, gap history: one entry per
             // completed iteration]. Anything else is residue from a
@@ -570,10 +477,10 @@ pub fn run_evgw_checkpointed(
                 });
             }
             let hist = ck.meta[n_sigma..].to_vec();
-            (e_qp, hist, ck.step as usize, idx + 1)
+            ((e_qp, hist, ck.step as usize), idx + 1)
         }
-        Some((idx, _)) => (ctx.sigma_energies.clone(), Vec::new(), 0, idx + 1),
-        None => (ctx.sigma_energies.clone(), Vec::new(), 0, 0),
+        Some((idx, _)) => ((ctx.sigma_energies.clone(), Vec::new(), 0), idx + 1),
+        None => ((ctx.sigma_energies.clone(), Vec::new(), 0), 0),
     };
     let mut writer = CkptWriter {
         policy: policy.clone(),
@@ -581,42 +488,14 @@ pub fn run_evgw_checkpointed(
         writes: 0,
         t_checkpoint: 0.0,
     };
-
-    let damping = 0.6;
-    while iterations < max_iter {
-        iterations += 1;
-        let grids: Vec<Vec<f64>> = e_qp.iter().map(|&e| vec![e]).collect();
-        let diag = gpp_sigma_diag(&ctx, &grids, cfg.variant);
-        let mut max_delta: f64 = 0.0;
-        for (s, e) in e_qp.iter_mut().enumerate() {
-            let target = ctx.sigma_energies[s] + diag.sigma[s][0];
-            let new = *e + damping * (target - *e);
-            max_delta = max_delta.max((new - *e).abs());
-            *e = new;
-        }
-        gap_history.push(e_qp[lumo] - e_qp[homo]);
-        let mut meta = e_qp.clone();
-        meta.extend_from_slice(&gap_history);
+    evgw_iterate(&ctx, cfg.variant, max_iter, tol_ry, start, |it| {
+        let mut meta = it.e_qp.clone();
+        meta.extend_from_slice(&it.gap_history);
         writer.write(&Checkpoint {
             stage: GwStage::EvGwIter as u64,
-            step: iterations as u64,
+            step: it.iterations as u64,
             meta,
             matrices: vec![],
-        })?;
-        if max_delta < tol_ry && iterations > 1 {
-            break;
-        }
-    }
-    let gap_ry = *gap_history.last().ok_or(RestartError::Malformed {
-        stage: "evgw",
-        reason: "run finished with an empty gap history \
-                 (zero iterations performed and nothing resumed)"
-            .into(),
-    })?;
-    Ok(EvGwResults {
-        gap_ry,
-        gap_history,
-        iterations,
-        e_qp,
+        })
     })
 }

@@ -17,11 +17,15 @@
 //!   MTXEL, charge density) is recomputed and the stored `eps~^{-1}`
 //!   blocks are re-adopted via [`EpsilonInverse::from_parts`], mirroring
 //!   [`restart`](crate::restart)'s `EpsilonDone` resume path;
-//! * [`gpp_eval_preemptible`] / [`ff_eval`] evaluate Sigma for an explicit
-//!   band list against a `Screening`. The GPP path walks one
-//!   [`band_slice`](crate::restart::band_slice) at a time and can yield
-//!   between bands, returning a [`GppPartial`] that round-trips through a
-//!   `SigmaPartial` checkpoint — the serving loop's preemption unit.
+//! * [`sigma_context`] / [`band_subset`] / [`ff_eval`] evaluate Sigma for
+//!   an explicit band list against a `Screening`; `bgw-serve` walks one
+//!   `band_subset(ctx, &[s])` view at a time so it can yield between
+//!   bands.
+//!
+//! The same functions are the pipeline's single definition for every
+//! driver: `prefix` is the cheap prefix, `finish_screening` the screening
+//! tail after `eps~^{-1}` exists, and `screen` the timed builder behind
+//! [`build_screening`] and the one-shot drivers.
 //!
 //! Parity contract (enforced by `tests/serve.rs`): evaluating any band
 //! subset through this module reproduces the corresponding one-shot
@@ -29,19 +33,19 @@
 
 use crate::chi::{ChiConfig, ChiEngine};
 use crate::coulomb::Coulomb;
-use crate::dyson::{solve_qp_diag, QpState};
+use crate::dyson::three_point_grids;
 use crate::epsilon::{EpsilonError, EpsilonInverse};
 use crate::gpp::GppModel;
 use crate::mtxel::Mtxel;
-use crate::restart::{band_slice, GwStage};
-use crate::sigma::diag::{gpp_sigma_diag, KernelVariant, SigmaDiagResult};
+use crate::restart::GwStage;
 use crate::sigma::fullfreq::ff_sigma_diag;
 use crate::sigma::SigmaContext;
-use crate::workflow::GwConfig;
+use crate::workflow::{GwConfig, GwTimings};
 use bgw_io::Checkpoint;
 use bgw_num::grid::semi_infinite_quadrature;
 use bgw_num::Complex64;
 use bgw_pwdft::{charge_density_g, solve_bands, GSphere, ModelSystem, Wavefunctions};
+use std::time::Instant;
 
 /// Full-frequency screening request: build `eps~^{-1}` on the
 /// semi-infinite quadrature (scale 2.0 Ry, matching the `ff_smoke`
@@ -113,21 +117,33 @@ impl Screening {
     }
 }
 
-/// The deterministic cheap prefix shared by build and restore.
-struct Prefix {
-    wfn_sph: GSphere,
-    eps_sph: GSphere,
-    wf: Wavefunctions,
-    coulomb: Coulomb,
-    mtxel: Mtxel,
-    vsqrt: Vec<f64>,
-    volume: f64,
+/// The deterministic cheap prefix of every GW driver: the spheres, the
+/// mean-field bands, the Coulomb interaction (bulk or slab-truncated, per
+/// [`GwConfig::slab`]), the MTXEL engine, the polarizability settings
+/// with the interaction's `q0`, and `sqrt(v(G))`. Serve restores
+/// recompute it instead of storing it.
+pub(crate) struct Prefix {
+    pub(crate) wfn_sph: GSphere,
+    pub(crate) eps_sph: GSphere,
+    pub(crate) wf: Wavefunctions,
+    pub(crate) coulomb: Coulomb,
+    pub(crate) mtxel: Mtxel,
+    pub(crate) chi_cfg: ChiConfig,
+    pub(crate) vsqrt: Vec<f64>,
+    pub(crate) volume: f64,
 }
 
-fn prefix(system: &ModelSystem, cfg: &GwConfig) -> Prefix {
+/// Builds the cheap prefix, charging the mean-field solve to
+/// `timings.t_meanfield`.
+pub(crate) fn prefix(system: &ModelSystem, cfg: &GwConfig, timings: &mut GwTimings) -> Prefix {
     let wfn_sph = system.wfn_sphere();
     let eps_sph = system.eps_sphere();
-    let wf = solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len()));
+    let t = Instant::now();
+    let wf = {
+        let _s = bgw_trace::span!("workflow.meanfield");
+        solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len()))
+    };
+    timings.t_meanfield = t.elapsed().as_secs_f64();
     let volume = system.crystal.lattice.volume();
     let coulomb = if cfg.slab {
         Coulomb::slab(system.crystal.lattice.a[2][2], volume)
@@ -135,6 +151,10 @@ fn prefix(system: &ModelSystem, cfg: &GwConfig) -> Prefix {
         Coulomb::bulk_for_cell(volume)
     };
     let mtxel = Mtxel::new(&wfn_sph, &eps_sph);
+    let chi_cfg = ChiConfig {
+        q0: coulomb.q0,
+        ..cfg.chi
+    };
     let vsqrt = coulomb.sqrt_on_sphere(&eps_sph);
     Prefix {
         wfn_sph,
@@ -142,12 +162,16 @@ fn prefix(system: &ModelSystem, cfg: &GwConfig) -> Prefix {
         wf,
         coulomb,
         mtxel,
+        chi_cfg,
         vsqrt,
         volume,
     }
 }
 
-fn finish_screening(
+/// The screening tail: given the prefix and an `eps~^{-1}` (built,
+/// resumed from a checkpoint, or inverted on a communicator), derives the
+/// charge density and the plasmon-pole model.
+pub(crate) fn finish_screening(
     p: Prefix,
     eps_inv: EpsilonInverse,
     ff: Option<(EpsilonInverse, Vec<f64>)>,
@@ -169,6 +193,45 @@ fn finish_screening(
     }
 }
 
+/// [`build_screening`] with its stage wall times charged to `timings`
+/// (`t_meanfield`, `t_chi`, `t_epsilon`).
+pub(crate) fn screen(
+    system: &ModelSystem,
+    cfg: &GwConfig,
+    ff: Option<FfSpec>,
+    timings: &mut GwTimings,
+) -> Result<Screening, EpsilonError> {
+    let p = prefix(system, cfg, timings);
+    let t = Instant::now();
+    let (chi0, ff_chis) = {
+        let _s = bgw_trace::span!("workflow.chi");
+        let engine = ChiEngine::new(&p.wf, &p.mtxel, p.chi_cfg);
+        let chi0 = engine.chi_static();
+        let ff_chis = ff.map(|spec| {
+            let (nodes, weights) = semi_infinite_quadrature(spec.n_quad, 2.0);
+            let (chis, _) = engine.chi_freqs(&nodes);
+            (chis, nodes, weights)
+        });
+        (chi0, ff_chis)
+    };
+    timings.t_chi = t.elapsed().as_secs_f64();
+    let t = Instant::now();
+    let (eps_inv, ff_built) = {
+        let _s = bgw_trace::span!("workflow.epsilon");
+        let eps_inv = EpsilonInverse::build(&[chi0], &[0.0], &p.coulomb, &p.eps_sph)?;
+        let ff_built = match ff_chis {
+            None => None,
+            Some((chis, nodes, weights)) => Some((
+                EpsilonInverse::build(&chis, &nodes, &p.coulomb, &p.eps_sph)?,
+                weights,
+            )),
+        };
+        (eps_inv, ff_built)
+    };
+    timings.t_epsilon = t.elapsed().as_secs_f64();
+    Ok(finish_screening(p, eps_inv, ff_built))
+}
+
 /// Computes the full screening state for a structure: CHI, the static
 /// dielectric inversion (and the full-frequency inversions when `ff` is
 /// set), and the GPP model — the exact arithmetic of the one-shot
@@ -179,31 +242,7 @@ pub fn build_screening(
     ff: Option<FfSpec>,
 ) -> Result<Screening, EpsilonError> {
     let _s = bgw_trace::span!("serve.screening.build");
-    let p = prefix(system, cfg);
-    let chi_cfg = ChiConfig {
-        q0: p.coulomb.q0,
-        ..cfg.chi
-    };
-    let engine = ChiEngine::new(&p.wf, &p.mtxel, chi_cfg);
-    let chi0 = {
-        let _s = bgw_trace::span!("serve.screening.chi");
-        engine.chi_static()
-    };
-    let eps_inv = {
-        let _s = bgw_trace::span!("serve.screening.epsilon");
-        EpsilonInverse::build(&[chi0], &[0.0], &p.coulomb, &p.eps_sph)?
-    };
-    let ff_built = match ff {
-        None => None,
-        Some(spec) => {
-            let _s = bgw_trace::span!("serve.screening.ff");
-            let (nodes, weights) = semi_infinite_quadrature(spec.n_quad, 2.0);
-            let (chis, _) = engine.chi_freqs(&nodes);
-            let eps = EpsilonInverse::build(&chis, &nodes, &p.coulomb, &p.eps_sph)?;
-            Some((eps, weights))
-        }
-    };
-    Ok(finish_screening(p, eps_inv, ff_built))
+    screen(system, cfg, ff, &mut GwTimings::default())
 }
 
 /// Encodes a screening as a BGWR checkpoint record (stage
@@ -252,7 +291,7 @@ pub fn screening_from_checkpoint(
     if ck.meta[0] as usize != n_ff {
         return None;
     }
-    let p = prefix(system, cfg);
+    let p = prefix(system, cfg, &mut GwTimings::default());
     let ng = p.eps_sph.len();
     for m in &ck.matrices {
         if m.nrows() != ng || m.ncols() != ng {
@@ -286,6 +325,12 @@ pub fn screening_from_checkpoint(
 /// the matrix-element cost once for its union band set.
 pub fn sigma_context(s: &Screening, bands: &[usize]) -> SigmaContext {
     let _s2 = bgw_trace::span!("serve.sigma.mtxel");
+    context(s, bands)
+}
+
+/// [`sigma_context`] without its serve span: the drivers wrap it in their
+/// own stage span and timer.
+pub(crate) fn context(s: &Screening, bands: &[usize]) -> SigmaContext {
     SigmaContext::build(
         &s.wf,
         &s.mtxel,
@@ -297,10 +342,11 @@ pub fn sigma_context(s: &Screening, bands: &[usize]) -> SigmaContext {
 }
 
 /// A multi-band view of a context: the bands at `positions` of `ctx`'s
-/// band list, in that order. Like [`band_slice`], evaluating a subset
-/// view reproduces the directly-built context exactly (each band's
-/// matrix-element block and energy row are independent) — the coalescing
-/// path uses this to serve one member of a batch from the union context.
+/// band list, in that order. Evaluating a subset view reproduces the
+/// directly-built context exactly (each band's matrix-element block and
+/// energy row are independent) — the coalescing path uses this to serve
+/// one member of a batch from the union context, and the checkpointed and
+/// serve GPP loops evaluate one band at a time through `&[s]` views.
 pub fn band_subset(ctx: &SigmaContext, positions: &[usize]) -> SigmaContext {
     SigmaContext {
         m_tilde: positions.iter().map(|&p| ctx.m_tilde[p].clone()).collect(),
@@ -310,128 +356,6 @@ pub fn band_subset(ctx: &SigmaContext, positions: &[usize]) -> SigmaContext {
         sigma_bands: positions.iter().map(|&p| ctx.sigma_bands[p]).collect(),
         sigma_energies: positions.iter().map(|&p| ctx.sigma_energies[p]).collect(),
     }
-}
-
-/// Per-band Sigma state carried across a preemption: the first
-/// `sigma.len()` bands of the request's band list are done.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct GppPartial {
-    /// Completed per-band Sigma rows (each `n_grid` long).
-    pub sigma: Vec<Vec<f64>>,
-    /// Kernel FLOPs accumulated so far.
-    pub flops: u64,
-}
-
-/// Result of a completed preemptible GPP evaluation.
-#[derive(Clone, Debug)]
-pub struct GppEvalResult {
-    /// Band indices evaluated (the request's list, in order).
-    pub bands: Vec<usize>,
-    /// Mean-field energies of those bands (Ry).
-    pub sigma_energies: Vec<f64>,
-    /// Occupied-band count (for locating HOMO/LUMO in `bands`).
-    pub n_occ: usize,
-    /// Quasiparticle solutions, aligned with `bands`.
-    pub states: Vec<QpState>,
-    /// Kernel FLOPs.
-    pub flops: u64,
-}
-
-/// Outcome of [`gpp_eval_preemptible`]: finished, or yielded between
-/// bands with resumable state.
-pub enum GppOutcome {
-    /// All bands evaluated and the QP equation solved.
-    Done(GppEvalResult),
-    /// The yield hook fired; `partial` resumes the evaluation where it
-    /// stopped (`partial.sigma.len()` bands done).
-    Yielded(GppPartial),
-}
-
-/// Evaluates GPP Sigma diagonals for `ctx` one band slice at a time —
-/// identical arithmetic to the full-context kernel, per the
-/// [`band_slice`] contract — calling `should_yield(bands_done)` between
-/// bands. Pass a previous [`GppPartial`] to resume after a preemption.
-pub fn gpp_eval_preemptible(
-    ctx: &SigmaContext,
-    delta_ry: f64,
-    variant: KernelVariant,
-    resume: Option<GppPartial>,
-    mut should_yield: impl FnMut(usize) -> bool,
-) -> GppOutcome {
-    let _s = bgw_trace::span!("serve.sigma.gpp");
-    let grids: Vec<Vec<f64>> = ctx
-        .sigma_energies
-        .iter()
-        .map(|&e| vec![e - delta_ry, e, e + delta_ry])
-        .collect();
-    let mut partial = resume.unwrap_or_default();
-    assert!(
-        partial.sigma.len() <= ctx.n_sigma(),
-        "resume state has more bands than the context"
-    );
-    for s in partial.sigma.len()..ctx.n_sigma() {
-        let one = band_slice(ctx, s);
-        let r = gpp_sigma_diag(&one, &grids[s..s + 1], variant);
-        partial.sigma.push(r.sigma.into_iter().next().unwrap());
-        partial.flops += r.flops;
-        if partial.sigma.len() < ctx.n_sigma() && should_yield(partial.sigma.len()) {
-            return GppOutcome::Yielded(partial);
-        }
-    }
-    let diag = SigmaDiagResult {
-        sigma: partial.sigma,
-        e_grids: grids,
-        seconds: 0.0,
-        flops: partial.flops,
-    };
-    let states = solve_qp_diag(&ctx.sigma_energies, &diag);
-    GppOutcome::Done(GppEvalResult {
-        bands: ctx.sigma_bands.clone(),
-        sigma_energies: ctx.sigma_energies.clone(),
-        n_occ: ctx.n_occ,
-        states,
-        flops: diag.flops,
-    })
-}
-
-/// Encodes a [`GppPartial`] as a `SigmaPartial`-stage checkpoint (meta =
-/// `[n_grid, flops, sigma rows band-major]`, `step` = bands done) so a
-/// preempted request survives a server restart through the same
-/// checksummed store as the screening artifacts.
-pub fn gpp_partial_to_checkpoint(p: &GppPartial, n_grid: usize) -> Checkpoint {
-    let mut meta = vec![n_grid as f64, p.flops as f64];
-    for band in &p.sigma {
-        assert_eq!(band.len(), n_grid, "partial row width mismatch");
-        meta.extend_from_slice(band);
-    }
-    Checkpoint {
-        stage: GwStage::SigmaPartial as u64,
-        step: p.sigma.len() as u64,
-        meta,
-        matrices: vec![],
-    }
-}
-
-/// Decodes a [`gpp_partial_to_checkpoint`] record; `None` when the record
-/// is not a consistent `SigmaPartial` (degrade to evaluating from band 0).
-pub fn gpp_partial_from_checkpoint(ck: &Checkpoint) -> Option<GppPartial> {
-    if ck.stage != GwStage::SigmaPartial as u64 || ck.meta.len() < 2 {
-        return None;
-    }
-    let n_grid = ck.meta[0] as usize;
-    let bands_done = ck.step as usize;
-    if n_grid == 0 || ck.meta.len() != 2 + n_grid * bands_done {
-        return None;
-    }
-    let flops = ck.meta[1] as u64;
-    let sigma: Vec<Vec<f64>> = ck.meta[2..]
-        .chunks_exact(n_grid)
-        .map(|c| c.to_vec())
-        .collect();
-    if sigma.iter().flatten().any(|x| !x.is_finite()) {
-        return None;
-    }
-    Some(GppPartial { sigma, flops })
 }
 
 /// Result of a full-frequency Sigma evaluation through the service path.
@@ -458,11 +382,7 @@ pub fn ff_eval(
 ) -> Option<FfEvalResult> {
     let (eps_ff, weights) = s.ff.as_ref()?;
     let _sp = bgw_trace::span!("serve.sigma.ff");
-    let grids: Vec<Vec<f64>> = ctx
-        .sigma_energies
-        .iter()
-        .map(|&e| vec![e - delta_ry, e, e + delta_ry])
-        .collect();
+    let grids = three_point_grids(&ctx.sigma_energies, delta_ry);
     let r = ff_sigma_diag(ctx, eps_ff, weights, &grids, eta_ry);
     Some(FfEvalResult {
         bands: ctx.sigma_bands.clone(),
@@ -475,7 +395,7 @@ pub fn ff_eval(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workflow::run_gpp_gw;
+    use crate::sigma::diag::gpp_sigma_diag;
     use bgw_pwdft::si_bulk;
 
     fn small_system() -> ModelSystem {
@@ -534,102 +454,37 @@ mod tests {
     }
 
     #[test]
-    fn preemptible_eval_matches_oneshot_driver_exactly() {
-        let sys = small_system();
-        let cfg = GwConfig::default();
-        let oracle = run_gpp_gw(&sys, &cfg);
-        let s = build_screening(&sys, &cfg, None).expect("build");
-        let ctx = sigma_context(&s, &oracle.sigma_bands);
-
-        // Uninterrupted.
-        let done =
-            match gpp_eval_preemptible(&ctx, cfg.sampling_delta_ry, cfg.variant, None, |_| false) {
-                GppOutcome::Done(r) => r,
-                GppOutcome::Yielded(_) => panic!("must not yield"),
-            };
-        assert_eq!(done.bands, oracle.sigma_bands);
-        for (a, b) in done.states.iter().zip(&oracle.states) {
-            assert!(
-                (a.e_qp - b.e_qp).abs() < 1e-12,
-                "served {} vs oracle {}",
-                a.e_qp,
-                b.e_qp
-            );
-            assert!((a.z - b.z).abs() < 1e-12);
-        }
-
-        // Yield after every band, round-tripping the partial through a
-        // checkpoint record each time, and still match at 1e-12.
-        let mut partial: Option<GppPartial> = None;
-        let resumed = loop {
-            match gpp_eval_preemptible(
-                &ctx,
-                cfg.sampling_delta_ry,
-                cfg.variant,
-                partial.take(),
-                |_| true,
-            ) {
-                GppOutcome::Done(r) => break r,
-                GppOutcome::Yielded(p) => {
-                    let ck = gpp_partial_to_checkpoint(&p, 3);
-                    partial = Some(gpp_partial_from_checkpoint(&ck).expect("partial roundtrip"));
-                }
-            }
-        };
-        for (a, b) in resumed.states.iter().zip(&oracle.states) {
-            assert!((a.e_qp - b.e_qp).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn union_context_band_slices_match_per_request_contexts() {
-        // Coalescing contract: a band evaluated through the union context
-        // of a batch equals the same band through a request-sized context.
+        // Coalescing contract: a band evaluated through a subset view of
+        // the union context of a batch equals the same band through a
+        // request-sized context, and one-band views evaluated in turn (the
+        // checkpoint and preemption unit) reproduce the full kernel.
         let sys = small_system();
         let cfg = GwConfig::default();
         let s = build_screening(&sys, &cfg, None).expect("build");
         let nv = s.wf.n_valence;
         let narrow: Vec<usize> = vec![nv - 1, nv];
         let wide: Vec<usize> = (nv - 2..nv + 2).collect();
-        let ctx_n = sigma_context(&s, &narrow);
         let ctx_w = sigma_context(&s, &wide);
-        let eval = |ctx: &SigmaContext| match gpp_eval_preemptible(
-            ctx,
-            cfg.sampling_delta_ry,
-            cfg.variant,
-            None,
-            |_| false,
-        ) {
-            GppOutcome::Done(r) => r,
-            GppOutcome::Yielded(_) => unreachable!(),
+        let eval = |ctx: &SigmaContext| {
+            let grids = three_point_grids(&ctx.sigma_energies, cfg.sampling_delta_ry);
+            gpp_sigma_diag(ctx, &grids, cfg.variant)
         };
-        let rn = eval(&ctx_n);
+        let rn = eval(&sigma_context(&s, &narrow));
+        let positions: Vec<usize> = narrow
+            .iter()
+            .map(|b| wide.iter().position(|w| w == b).unwrap())
+            .collect();
+        let rs = eval(&band_subset(&ctx_w, &positions));
+        assert_eq!(
+            rs.sigma, rn.sigma,
+            "bands differ between the union subset and the request context"
+        );
+        assert_eq!(rs.flops, rn.flops);
         let rw = eval(&ctx_w);
-        for (i, band) in narrow.iter().enumerate() {
-            let j = wide.iter().position(|b| b == band).unwrap();
-            assert_eq!(
-                rn.states[i].e_qp, rw.states[j].e_qp,
-                "band {band} differs between narrow and union contexts"
-            );
+        for (i, row) in rw.sigma.iter().enumerate() {
+            let one = eval(&band_subset(&ctx_w, &[i]));
+            assert_eq!(one.sigma[0], *row, "one-band view {i} differs");
         }
-    }
-
-    #[test]
-    fn partial_checkpoint_rejects_inconsistent_records() {
-        let p = GppPartial {
-            sigma: vec![vec![1.0, 2.0, 3.0]],
-            flops: 42,
-        };
-        let ck = gpp_partial_to_checkpoint(&p, 3);
-        assert_eq!(gpp_partial_from_checkpoint(&ck).unwrap(), p);
-        let mut bad = ck.clone();
-        bad.step = 2; // claims more bands than the meta holds
-        assert!(gpp_partial_from_checkpoint(&bad).is_none());
-        let mut bad = ck.clone();
-        bad.meta[2] = f64::NAN;
-        assert!(gpp_partial_from_checkpoint(&bad).is_none());
-        let mut bad = ck;
-        bad.stage = GwStage::ChiPartial as u64;
-        assert!(gpp_partial_from_checkpoint(&bad).is_none());
     }
 }

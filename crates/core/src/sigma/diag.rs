@@ -174,8 +174,9 @@ fn run_optimized(ctx: &SigmaContext, e_grids: &[Vec<f64>]) -> (Vec<Vec<f64>>, u6
         for e0 in (0..ne).step_by(MAX_NE) {
             let e1 = (e0 + MAX_NE).min(ne);
             let nee = e1 - e0;
-            // Band-parallel with per-worker accumulators, merged
-            // deterministically (the two-stage reduction of Sec. 5.5.1).
+            // Band-parallel with per-chunk accumulators merged in chunk
+            // order (the two-stage reduction of Sec. 5.5.1), so the sum
+            // is the same at every pool width.
             let (acc, fl) = bgw_par::parallel_reduce(
                 nb,
                 1,

@@ -5,14 +5,14 @@
 //! tests, cached behind a `OnceLock` so the many test cases pay the cost
 //! once per process.
 
-use crate::chi::{ChiConfig, ChiEngine};
+use crate::chi::ChiEngine;
 use crate::coulomb::Coulomb;
 use crate::epsilon::EpsilonInverse;
-use crate::gpp::GppModel;
-use crate::mtxel::Mtxel;
+use crate::service::{context, finish_screening, prefix};
 use crate::sigma::SigmaContext;
+use crate::workflow::{GwConfig, GwTimings};
 use bgw_linalg::CMatrix;
-use bgw_pwdft::{charge_density_g, solve_bands, Crystal, GSphere, Species, Wavefunctions};
+use bgw_pwdft::{charge_density_g, Crystal, GSphere, ModelSystem, Species, Wavefunctions};
 use std::sync::OnceLock;
 
 /// Everything a test might want to poke at.
@@ -43,40 +43,34 @@ pub struct TestSetup {
 }
 
 fn build() -> (SigmaContext, TestSetup) {
-    let crystal = Crystal::diamond(Species::Si, bgw_pwdft::pseudo::SI_A0);
-    let wfn_sph = GSphere::new(&crystal.lattice, 2.2);
-    let eps_sph = GSphere::new(&crystal.lattice, 0.55);
-    let wf = solve_bands(&crystal, &wfn_sph, 28);
-    let volume = crystal.lattice.volume();
-    let coulomb = Coulomb::bulk_for_cell(volume);
-    let mtxel = Mtxel::new(&wfn_sph, &eps_sph);
-    let chi_cfg = ChiConfig {
-        q0: coulomb.q0,
-        ..ChiConfig::default()
+    let system = ModelSystem {
+        name: "Si8-testkit".into(),
+        crystal: Crystal::diamond(Species::Si, bgw_pwdft::pseudo::SI_A0),
+        ecut_wfn_ry: 2.2,
+        ecut_eps_ry: 0.55,
+        n_bands: 28,
     };
-    let engine = ChiEngine::new(&wf, &mtxel, chi_cfg);
-    let (chis, _) = engine.chi_freqs(&[0.0, 1.5]);
-    let eps_inv = EpsilonInverse::build(&chis[..1], &[0.0], &coulomb, &eps_sph)
+    // Default window: HOMO-1, HOMO, LUMO, LUMO+1.
+    let cfg = GwConfig::default();
+    let p = prefix(&system, &cfg, &mut GwTimings::default());
+    let (chis, _) = ChiEngine::new(&p.wf, &p.mtxel, p.chi_cfg).chi_freqs(&[0.0, 1.5]);
+    let eps_inv = EpsilonInverse::build(&chis[..1], &[0.0], &p.coulomb, &p.eps_sph)
         .expect("dielectric matrix must be invertible");
-    let rho = charge_density_g(&wf, &wfn_sph);
-    let gpp = GppModel::new(&eps_inv, &eps_sph, &wfn_sph, &rho, volume);
-    let vsqrt = coulomb.sqrt_on_sphere(&eps_sph);
-    // Sigma bands bracketing the gap: HOMO-1, HOMO, LUMO, LUMO+1.
-    let nv = wf.n_valence;
-    let sigma_bands = vec![nv - 2, nv - 1, nv, nv + 1];
-    let ctx = SigmaContext::build(&wf, &mtxel, gpp, &vsqrt, &sigma_bands, coulomb.q0);
+    let rho = charge_density_g(&p.wf, &p.wfn_sph);
+    let s = finish_screening(p, eps_inv, None);
+    let ctx = context(&s, &cfg.sigma_bands(&s.wf));
     let setup = TestSetup {
-        crystal,
-        wfn_sph,
-        eps_sph,
-        wf,
+        volume: system.crystal.lattice.volume(),
+        crystal: system.crystal,
         chi0: chis[0].clone(),
         chi_finite: chis[1].clone(),
-        vsqrt,
-        eps_inv,
         rho,
-        volume,
-        coulomb,
+        wfn_sph: s.wfn_sph,
+        eps_sph: s.eps_sph,
+        wf: s.wf,
+        vsqrt: s.vsqrt,
+        eps_inv: s.eps_inv,
+        coulomb: s.coulomb,
     };
     (ctx, setup)
 }

@@ -4,15 +4,14 @@
 //! Sigma -> Dyson. Used by the examples and the benchmark harness; each
 //! stage's wall-clock time is recorded.
 
-use crate::chi::{ChiConfig, ChiEngine};
-use crate::coulomb::Coulomb;
-use crate::dyson::{qp_gap, solve_qp_diag, QpState};
-use crate::epsilon::EpsilonInverse;
-use crate::gpp::GppModel;
-use crate::mtxel::Mtxel;
-use crate::sigma::diag::{gpp_sigma_diag, KernelVariant};
+use crate::chi::ChiConfig;
+use crate::dyson::{qp_gap, solve_qp_diag, three_point_grids, QpState};
+use crate::epsilon::EpsilonError;
+use crate::service::{context, screen, Screening};
+use crate::sigma::diag::{gpp_sigma_diag, KernelVariant, SigmaDiagResult};
 use crate::sigma::SigmaContext;
-use bgw_pwdft::{charge_density_g, solve_bands, ModelSystem};
+use bgw_perf::CounterSnapshot;
+use bgw_pwdft::{ModelSystem, Wavefunctions};
 use std::time::Instant;
 
 /// Configuration for a one-shot G0W0(GPP) run.
@@ -29,6 +28,16 @@ pub struct GwConfig {
     pub chi: ChiConfig,
     /// Use the slab-truncated Coulomb (2-D sheets).
     pub slab: bool,
+}
+
+impl GwConfig {
+    /// The Sigma band window: `bands_around_gap` bands (at least one) on
+    /// each side of the gap, clipped to the bands that exist.
+    pub fn sigma_bands(&self, wf: &Wavefunctions) -> Vec<usize> {
+        let nv = wf.n_valence;
+        let k = self.bands_around_gap.max(1);
+        (nv.saturating_sub(k)..(nv + k).min(wf.n_bands())).collect()
+    }
 }
 
 impl Default for GwConfig {
@@ -102,100 +111,77 @@ pub struct GwResults {
 /// Runs the full G0W0(GPP) pipeline on a model system.
 pub fn run_gpp_gw(system: &ModelSystem, cfg: &GwConfig) -> GwResults {
     let _run_span = bgw_trace::span!("workflow.gpp_gw");
-    let mut timings = GwTimings::default();
     let counters0 = bgw_perf::counters::snapshot();
-    let wfn_sph = system.wfn_sphere();
-    let eps_sph = system.eps_sphere();
-
-    let t = Instant::now();
-    let wf = {
-        let _s = bgw_trace::span!("workflow.meanfield");
-        solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len()))
-    };
-    timings.t_meanfield = t.elapsed().as_secs_f64();
-
-    let coulomb = if cfg.slab {
-        Coulomb::slab(
-            system.crystal.lattice.a[2][2],
-            system.crystal.lattice.volume(),
-        )
-    } else {
-        Coulomb::bulk_for_cell(system.crystal.lattice.volume())
-    };
-    let mtxel = Mtxel::new(&wfn_sph, &eps_sph);
-    let t = Instant::now();
-    let chi_cfg = ChiConfig {
-        q0: coulomb.q0,
-        ..cfg.chi
-    };
-    let chi0 = {
-        let _s = bgw_trace::span!("workflow.chi");
-        ChiEngine::new(&wf, &mtxel, chi_cfg).chi_static()
-    };
-    timings.t_chi = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let eps_inv = {
-        let _s = bgw_trace::span!("workflow.epsilon");
-        EpsilonInverse::build(&[chi0], &[0.0], &coulomb, &eps_sph)
-            .expect("dielectric matrix must be invertible")
-    };
-    let eps_macro = eps_inv.macroscopic_constant();
-    timings.t_epsilon = t.elapsed().as_secs_f64();
-
-    let rho = charge_density_g(&wf, &wfn_sph);
-    let gpp = GppModel::new(
-        &eps_inv,
-        &eps_sph,
-        &wfn_sph,
-        &rho,
-        system.crystal.lattice.volume(),
-    );
-    let vsqrt = coulomb.sqrt_on_sphere(&eps_sph);
-
-    let nv = wf.n_valence;
-    let k = cfg.bands_around_gap.max(1);
-    let lo = nv.saturating_sub(k);
-    let hi = (nv + k).min(wf.n_bands());
-    let sigma_bands: Vec<usize> = (lo..hi).collect();
-
-    let t = Instant::now();
-    let ctx = {
-        let _s = bgw_trace::span!("workflow.mtxel");
-        SigmaContext::build(&wf, &mtxel, gpp, &vsqrt, &sigma_bands, coulomb.q0)
-    };
-    timings.t_mtxel_sigma = t.elapsed().as_secs_f64();
-
-    let d = cfg.sampling_delta_ry;
-    let grids: Vec<Vec<f64>> = ctx
-        .sigma_energies
-        .iter()
-        .map(|&e| vec![e - d, e, e + d])
-        .collect();
-    let dims = SigmaDims {
-        n_sigma: ctx.n_sigma(),
-        n_b: ctx.n_b(),
-        n_g: ctx.n_g(),
-        n_e: grids.first().map_or(0, Vec::len),
-    };
+    let mut timings = GwTimings::default();
+    let (s, ctx) =
+        screened_context(system, cfg, &mut timings).expect("dielectric matrix must be invertible");
+    let grids = three_point_grids(&ctx.sigma_energies, cfg.sampling_delta_ry);
     let t = Instant::now();
     let diag = {
         let _s = bgw_trace::span!("workflow.sigma");
         gpp_sigma_diag(&ctx, &grids, cfg.variant)
     };
     timings.t_sigma = t.elapsed().as_secs_f64();
+    gw_results(&ctx, s.wf.gap_ry(), s.eps_macro, diag, timings, &counters0)
+}
 
+/// The static screening and the Sigma context over `cfg`'s band window —
+/// the shared front half of the one-shot drivers — with stage wall times
+/// charged to `timings`.
+pub(crate) fn screened_context(
+    system: &ModelSystem,
+    cfg: &GwConfig,
+    timings: &mut GwTimings,
+) -> Result<(Screening, SigmaContext), EpsilonError> {
+    let s = screen(system, cfg, None, timings)?;
+    let ctx = window_context(&s, cfg, timings);
+    Ok((s, ctx))
+}
+
+/// The Sigma context over `cfg`'s band window, charged to
+/// `timings.t_mtxel_sigma`.
+pub(crate) fn window_context(
+    s: &Screening,
+    cfg: &GwConfig,
+    timings: &mut GwTimings,
+) -> SigmaContext {
+    let t = Instant::now();
+    let ctx = {
+        let _s = bgw_trace::span!("workflow.mtxel");
+        context(s, &cfg.sigma_bands(&s.wf))
+    };
+    timings.t_mtxel_sigma = t.elapsed().as_secs_f64();
+    ctx
+}
+
+/// Solves the QP equation on a finished diag result and assembles the
+/// [`GwResults`] every GPP driver returns; the substrate counters are
+/// read against `counters0`, taken when the run started.
+pub(crate) fn gw_results(
+    ctx: &SigmaContext,
+    gap_mf_ry: f64,
+    eps_macro: f64,
+    diag: SigmaDiagResult,
+    mut timings: GwTimings,
+    counters0: &CounterSnapshot,
+) -> GwResults {
     let states = solve_qp_diag(&ctx.sigma_energies, &diag);
-    let gap_qp = qp_gap(&states, ctx.homo_pos(), ctx.lumo_pos());
+    let gap_qp_ry = qp_gap(&states, ctx.homo_pos(), ctx.lumo_pos());
     timings.substrate = counters0.delta(&bgw_perf::counters::snapshot());
     GwResults {
-        sigma_bands,
+        sigma_bands: ctx.sigma_bands.clone(),
         states,
-        gap_mf_ry: wf.gap_ry(),
-        gap_qp_ry: gap_qp,
+        gap_mf_ry,
+        gap_qp_ry,
         eps_macro,
         timings,
         sigma_flops: diag.flops,
-        dims,
+        dims: SigmaDims {
+            n_sigma: ctx.n_sigma(),
+            n_b: ctx.n_b(),
+            n_g: ctx.n_g(),
+            n_e: diag.e_grids.first().map_or(0, Vec::len),
+        },
     }
 }
 
@@ -219,65 +205,60 @@ pub struct EvGwResults {
 /// off-diag kernel's uniform energy grid enables at scale (paper
 /// Sec. 5.6: "much more accurate self-consistent quasiparticle energies
 /// from the full solutions of the Dyson's equation"). The screening stays
-/// at RPA@mean-field (GW0).
+/// at RPA@mean-field (GW0). With `max_iter = 0` the mean-field energies
+/// come back unchanged, with their gap and an empty history.
 pub fn run_evgw(system: &ModelSystem, cfg: &GwConfig, max_iter: usize, tol_ry: f64) -> EvGwResults {
-    use crate::sigma::diag::gpp_sigma_diag;
-
-    let wfn_sph = system.wfn_sphere();
-    let eps_sph = system.eps_sphere();
-    let wf = solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len()));
-    let coulomb = Coulomb::bulk_for_cell(system.crystal.lattice.volume());
-    let mtxel = Mtxel::new(&wfn_sph, &eps_sph);
-    let chi_cfg = ChiConfig {
-        q0: coulomb.q0,
-        ..cfg.chi
-    };
-    let chi0 = ChiEngine::new(&wf, &mtxel, chi_cfg).chi_static();
-    let eps_inv = EpsilonInverse::build(&[chi0], &[0.0], &coulomb, &eps_sph)
+    let (_, ctx) = screened_context(system, cfg, &mut GwTimings::default())
         .expect("dielectric matrix must be invertible");
-    let rho = charge_density_g(&wf, &wfn_sph);
-    let gpp = GppModel::new(
-        &eps_inv,
-        &eps_sph,
-        &wfn_sph,
-        &rho,
-        system.crystal.lattice.volume(),
-    );
-    let vsqrt = coulomb.sqrt_on_sphere(&eps_sph);
-    let nv = wf.n_valence;
-    let k = cfg.bands_around_gap.max(1);
-    let sigma_bands: Vec<usize> = (nv.saturating_sub(k)..(nv + k).min(wf.n_bands())).collect();
-    let ctx = SigmaContext::build(&wf, &mtxel, gpp, &vsqrt, &sigma_bands, coulomb.q0);
-    let homo = ctx.homo_pos();
-    let lumo = ctx.lumo_pos();
+    let start = (ctx.sigma_energies.clone(), Vec::new(), 0);
+    evgw_iterate(&ctx, cfg.variant, max_iter, tol_ry, start, |_| {
+        Ok::<(), std::convert::Infallible>(())
+    })
+    .unwrap_or_else(|never| match never {})
+}
 
-    let damping = 0.6;
-    let mut e_qp = ctx.sigma_energies.clone();
-    let mut gap_history = Vec::new();
-    let mut iterations = 0;
-    for _ in 0..max_iter {
-        iterations += 1;
-        // evaluate Sigma at the current QP estimates
-        let grids: Vec<Vec<f64>> = e_qp.iter().map(|&e| vec![e]).collect();
-        let diag = gpp_sigma_diag(&ctx, &grids, cfg.variant);
-        let mut max_delta: f64 = 0.0;
-        for (s, e) in e_qp.iter_mut().enumerate() {
-            let target = ctx.sigma_energies[s] + diag.sigma[s][0];
-            let new = *e + damping * (target - *e);
-            max_delta = max_delta.max((new - *e).abs());
-            *e = new;
-        }
-        gap_history.push(e_qp[lumo] - e_qp[homo]);
-        if max_delta < tol_ry && iterations > 1 {
-            break;
-        }
-    }
-    EvGwResults {
-        gap_ry: *gap_history.last().unwrap(),
+/// The damped evGW fixed-point loop shared by [`run_evgw`] and the
+/// checkpointed driver. Continues from `start = (QP energies, gap
+/// history, iterations done)` until `max_iter` iterations are done or
+/// the largest update drops below `tol_ry`, and hands each new iterate to
+/// `on_iter` (the persistence hook) before the convergence test.
+pub(crate) fn evgw_iterate<E>(
+    ctx: &SigmaContext,
+    variant: KernelVariant,
+    max_iter: usize,
+    tol_ry: f64,
+    start: (Vec<f64>, Vec<f64>, usize),
+    mut on_iter: impl FnMut(&EvGwResults) -> Result<(), E>,
+) -> Result<EvGwResults, E> {
+    const DAMPING: f64 = 0.6;
+    let (homo, lumo) = (ctx.homo_pos(), ctx.lumo_pos());
+    let (e_qp, gap_history, iterations) = start;
+    let mut it = EvGwResults {
+        gap_ry: e_qp[lumo] - e_qp[homo],
         gap_history,
         iterations,
         e_qp,
+    };
+    while it.iterations < max_iter {
+        it.iterations += 1;
+        // evaluate Sigma at the current QP estimates
+        let grids: Vec<Vec<f64>> = it.e_qp.iter().map(|&e| vec![e]).collect();
+        let diag = gpp_sigma_diag(ctx, &grids, variant);
+        let mut max_delta: f64 = 0.0;
+        for (s, e) in it.e_qp.iter_mut().enumerate() {
+            let target = ctx.sigma_energies[s] + diag.sigma[s][0];
+            let new = *e + DAMPING * (target - *e);
+            max_delta = max_delta.max((new - *e).abs());
+            *e = new;
+        }
+        it.gap_ry = it.e_qp[lumo] - it.e_qp[homo];
+        it.gap_history.push(it.gap_ry);
+        on_iter(&it)?;
+        if max_delta < tol_ry && it.iterations > 1 {
+            break;
+        }
     }
+    Ok(it)
 }
 
 /// Results of a full-matrix Dyson solution.
@@ -302,44 +283,15 @@ pub struct FullDysonResults {
 /// Sigma matrix — the paper's "full solutions of the Dyson's equation"
 /// workflow (Sec. 5.6).
 pub fn run_full_dyson_gw(system: &ModelSystem, cfg: &GwConfig, n_e: usize) -> FullDysonResults {
-    use crate::dyson::{solve_qp_diag, solve_qp_full};
-    use crate::sigma::diag::gpp_sigma_diag;
+    use crate::dyson::solve_qp_full;
     use crate::sigma::offdiag::gpp_sigma_offdiag;
     use bgw_num::UniformGrid;
 
-    let wfn_sph = system.wfn_sphere();
-    let eps_sph = system.eps_sphere();
-    let wf = solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len()));
-    let coulomb = Coulomb::bulk_for_cell(system.crystal.lattice.volume());
-    let mtxel = Mtxel::new(&wfn_sph, &eps_sph);
-    let chi_cfg = ChiConfig {
-        q0: coulomb.q0,
-        ..cfg.chi
-    };
-    let chi0 = ChiEngine::new(&wf, &mtxel, chi_cfg).chi_static();
-    let eps_inv = EpsilonInverse::build(&[chi0], &[0.0], &coulomb, &eps_sph)
+    let (_, ctx) = screened_context(system, cfg, &mut GwTimings::default())
         .expect("dielectric matrix must be invertible");
-    let rho = charge_density_g(&wf, &wfn_sph);
-    let gpp = GppModel::new(
-        &eps_inv,
-        &eps_sph,
-        &wfn_sph,
-        &rho,
-        system.crystal.lattice.volume(),
-    );
-    let vsqrt = coulomb.sqrt_on_sphere(&eps_sph);
-    let nv = wf.n_valence;
-    let k = cfg.bands_around_gap.max(1);
-    let sigma_bands: Vec<usize> = (nv.saturating_sub(k)..(nv + k).min(wf.n_bands())).collect();
-    let ctx = SigmaContext::build(&wf, &mtxel, gpp, &vsqrt, &sigma_bands, coulomb.q0);
 
     // diagonal reference
-    let d = cfg.sampling_delta_ry;
-    let grids: Vec<Vec<f64>> = ctx
-        .sigma_energies
-        .iter()
-        .map(|&e| vec![e - d, e, e + d])
-        .collect();
+    let grids = three_point_grids(&ctx.sigma_energies, cfg.sampling_delta_ry);
     let diag = gpp_sigma_diag(&ctx, &grids, cfg.variant);
     let diag_states = solve_qp_diag(&ctx.sigma_energies, &diag);
     let e_qp_diag: Vec<f64> = diag_states.iter().map(|s| s.e_qp).collect();
@@ -362,7 +314,7 @@ pub fn run_full_dyson_gw(system: &ModelSystem, cfg: &GwConfig, n_e: usize) -> Fu
     let off = gpp_sigma_offdiag(&ctx, &grid, bgw_linalg::GemmBackend::Parallel);
     let e_qp_full = solve_qp_full(&ctx.sigma_energies, &off);
     FullDysonResults {
-        sigma_bands,
+        sigma_bands: ctx.sigma_bands.clone(),
         e_mf: ctx.sigma_energies.clone(),
         e_qp_diag,
         e_qp_full,
@@ -404,6 +356,70 @@ mod tests {
             "sc gap {} vs G0W0 {}",
             ev.gap_ry,
             g0w0.gap_qp_ry
+        );
+    }
+
+    #[test]
+    fn evgw_with_zero_iterations_returns_the_mean_field_iterate() {
+        let mut sys = si_bulk(1, 2.2);
+        sys.n_bands = 24;
+        let cfg = GwConfig::default();
+        let g0w0 = run_gpp_gw(&sys, &cfg);
+        let e_mf: Vec<f64> = g0w0.states.iter().map(|s| s.e_mf).collect();
+        let dir = std::env::temp_dir().join(format!("bgw_evgw_zero_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let policy = crate::restart::CheckpointPolicy::new(&dir);
+        let checkpointed = crate::restart::run_evgw_checkpointed(&sys, &cfg, 0, 1e-5, &policy)
+            .expect("zero iterations is a valid run");
+        for ev in [run_evgw(&sys, &cfg, 0, 1e-5), checkpointed] {
+            assert_eq!(ev.iterations, 0);
+            assert!(ev.gap_history.is_empty());
+            assert_eq!(ev.e_qp, e_mf);
+            assert_eq!(ev.gap_ry, g0w0.gap_mf_ry);
+        }
+        assert!(!dir.exists(), "no iteration, no checkpoint written");
+    }
+
+    #[test]
+    fn slab_coulomb_reaches_every_driver() {
+        let mut sys = si_bulk(1, 2.2);
+        sys.n_bands = 24;
+        let bulk = GwConfig::default();
+        let slab = GwConfig { slab: true, ..bulk };
+        let oracle = run_gpp_gw(&sys, &slab);
+        assert_ne!(oracle.eps_macro, run_gpp_gw(&sys, &bulk).eps_macro);
+        let (ranks, _) = bgw_comm::run_world(2, |c| {
+            let stage = crate::resilient::run_gpp_gw_resilient(&sys, &slab, c).expect("resilient");
+            let dag = crate::resilient::run_gpp_gw_resilient_dag(&sys, &slab, c).expect("dag");
+            (stage, dag)
+        });
+        for (stage, dag) in &ranks {
+            for (label, states, eps) in [
+                ("resilient", &stage.states, stage.eps_macro),
+                ("resilient dag", &dag.states, dag.eps_macro),
+            ] {
+                assert!(
+                    (eps - oracle.eps_macro).abs() < 1e-10,
+                    "{label}: eps_macro {eps}"
+                );
+                for (a, b) in states.iter().zip(&oracle.states) {
+                    assert!(
+                        (a.e_qp - b.e_qp).abs() < 1e-10,
+                        "{label}: QP {} vs {}",
+                        a.e_qp,
+                        b.e_qp
+                    );
+                }
+            }
+        }
+        let dyson = run_full_dyson_gw(&sys, &slab, 8);
+        let want: Vec<f64> = oracle.states.iter().map(|s| s.e_qp).collect();
+        assert_eq!(dyson.e_qp_diag, want, "full-Dyson diagonal reference");
+        let ev_slab = run_evgw(&sys, &slab, 3, 1e-5);
+        let ev_bulk = run_evgw(&sys, &bulk, 3, 1e-5);
+        assert_ne!(
+            ev_slab.gap_ry, ev_bulk.gap_ry,
+            "evGW ignored the slab Coulomb"
         );
     }
 

@@ -422,13 +422,15 @@ where
     bgw_perf::counters::record_pool_inline(excl);
 }
 
-/// Parallel reduction: each participant folds its chunks into a local
-/// accumulator created by `identity`, then the accumulators are merged
-/// with `merge`.
+/// Parallel reduction: every chunk folds into its own accumulator created
+/// by `identity`, and the per-chunk accumulators are merged with `merge`
+/// left to right in chunk order.
 ///
-/// The merge order is deterministic (participant slot order), so results
-/// are reproducible for associative-enough `merge` operations; chunk
-/// *assignment* is dynamic, as in the paper's two-stage reductions.
+/// Chunk *assignment* is dynamic, as in the paper's two-stage reductions,
+/// but which terms each accumulator holds and the order they are merged in
+/// depend only on `n` and `chunk`. The result is therefore bitwise
+/// identical at every pool width, including the inline path, for any
+/// `merge` — floating-point sums included.
 pub fn parallel_reduce<T, Fid, Fbody, Fmerge>(
     n: usize,
     chunk: usize,
@@ -447,47 +449,48 @@ where
     }
     let chunk = chunk.max(1);
     let k = chunk_count(n, chunk);
+    let run_chunk = |i: usize| {
+        let (lo, hi) = chunk_bounds(n, chunk, i);
+        let mut acc = identity();
+        body(&mut acc, lo, hi);
+        acc
+    };
     let participants = num_threads().min(k);
     if participants > 1 {
-        let slots: Vec<Mutex<Option<T>>> = (0..participants).map(|_| Mutex::new(None)).collect();
+        let partials: Vec<Mutex<Option<T>>> = (0..k).map(|_| Mutex::new(None)).collect();
         let counter = AtomicUsize::new(0);
         let work = |slot: usize| {
             if slot >= participants {
                 return;
             }
-            let mut acc = identity();
             loop {
                 let i = counter.fetch_add(1, Ordering::Relaxed);
                 if i >= k {
                     break;
                 }
-                let (lo, hi) = chunk_bounds(n, chunk, i);
-                body(&mut acc, lo, hi);
+                let acc = run_chunk(i);
+                *partials[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(acc);
             }
-            *slots[slot].lock().unwrap_or_else(|e| e.into_inner()) = Some(acc);
         };
         if pool_run(participants, &work) {
-            let mut acc: Option<T> = None;
-            for m in slots {
-                // A slot stays `None` only if the pool could not field a
-                // worker for it; slot 0 (the caller) always ran.
-                if let Some(v) = m.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                    acc = Some(match acc {
-                        None => v,
-                        Some(a) => merge(a, v),
-                    });
-                }
-            }
-            return acc.expect("caller slot always produces a value");
+            // The caller's slot drains the counter, so every chunk ran.
+            return partials
+                .into_iter()
+                .map(|m| {
+                    m.into_inner()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .expect("every chunk ran")
+                })
+                .reduce(merge)
+                .expect("at least one chunk");
         }
     }
     let _span = bgw_trace::span!("par.inline");
     let timer = RegionTimer::start();
-    let mut acc = identity();
-    for i in 0..k {
-        let (lo, hi) = chunk_bounds(n, chunk, i);
-        body(&mut acc, lo, hi);
-    }
+    let acc = (0..k)
+        .map(run_chunk)
+        .reduce(merge)
+        .expect("at least one chunk");
     let (_wall, excl) = timer.finish();
     bgw_perf::counters::record_pool_inline(excl);
     acc
@@ -741,6 +744,53 @@ mod tests {
                 |a, b| a + b,
             );
             assert_eq!(total, (n as u64 - 1) * n as u64 / 2, "threads {threads}");
+        }
+        set_num_threads(0);
+    }
+
+    #[test]
+    fn reduce_is_bitwise_invariant_under_pool_width_and_chunk_timing() {
+        // An order-sensitive f64 sum: 1e16 absorbs a lone +1.0 but not a
+        // pre-summed run of them, so any regrouping of chunks changes the
+        // bits. Sleeps on chosen chunks let the other participants race
+        // ahead and claim the chunks in between.
+        let _g = test_guard();
+        let n = 96usize;
+        let value = |i: usize| {
+            if i.is_multiple_of(32) {
+                1e16
+            } else {
+                1.0 + i as f64 / 64.0
+            }
+        };
+        let run = || {
+            parallel_reduce(
+                n,
+                2,
+                || 0.0f64,
+                |acc, lo, hi| {
+                    if lo.is_multiple_of(32) {
+                        std::thread::sleep(std::time::Duration::from_millis(3));
+                    }
+                    for i in lo..hi {
+                        *acc += value(i);
+                    }
+                },
+                |a, b| a + b,
+            )
+        };
+        set_num_threads(1);
+        let want = run();
+        for threads in 1..=4usize {
+            set_num_threads(threads);
+            for rep in 0..3 {
+                let got = run();
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "threads {threads} rep {rep}: {got} vs {want}"
+                );
+            }
         }
         set_num_threads(0);
     }

@@ -30,8 +30,9 @@ use crate::key::ArtifactKey;
 use crate::request::{GwRequest, RequestKind};
 use crate::store::ArtifactStore;
 use bgw_comm::{FaultKind, FaultPlan};
+use bgw_core::dyson::three_point_grid;
 use bgw_core::epsilon::EpsilonError;
-use bgw_core::restart::{band_slice, GwStage};
+use bgw_core::restart::GwStage;
 use bgw_core::service::{
     band_subset, build_screening, ff_eval, screening_from_checkpoint, screening_to_checkpoint,
     sigma_context, Screening,
@@ -887,10 +888,9 @@ impl ServeCore {
                 match union.iter().position(|&b| b == band) {
                     None => Err(internal(format!("band {band} missing from batch union"))),
                     Some(s) => {
-                        let one = band_slice(&ctx, s);
-                        let e = ctx.sigma_energies[s];
+                        let one = band_subset(&ctx, &[s]);
                         let d = delta_m as f64 / 1000.0;
-                        let grid = vec![vec![e - d, e, e + d]];
+                        let grid = vec![three_point_grid(ctx.sigma_energies[s], d)];
                         let r = gpp_sigma_diag(&one, &grid, batch[0].0.req.gw_config().variant);
                         match r.sigma.into_iter().next() {
                             Some(row) => Ok((row, r.flops)),
@@ -982,7 +982,7 @@ impl ServeCore {
                 };
                 let e = ctx.sigma_energies[s];
                 sigma.push(row);
-                grids.push(vec![e - d, e, e + d]);
+                grids.push(three_point_grid(e, d));
                 energies.push(e);
                 flops += row_flops;
             }

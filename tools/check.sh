@@ -5,7 +5,8 @@
 # registry access a hard error instead of a hang.
 #
 # Usage:
-#   tools/check.sh            full gate (build, tests, fmt, clippy, smokes)
+#   tools/check.sh            full gate (build, tests at the default and at
+#                             BGW_THREADS=1/2/4, fmt, clippy, smokes)
 #   tools/check.sh --faults   fault-injection smoke only (builds the bin
 #                             first if needed)
 #   tools/check.sh --trace    traced-GPP smoke only: span tree + run
@@ -218,6 +219,15 @@ cargo build --release -p berkeleygw-rs --no-default-features
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+# Determinism gate: the suite's bitwise parity claims (pool widths, shard
+# counts, DAG vs barrier, resume points) must hold at any worker count,
+# not only the host's default. Oversubscribing a narrow host is fine —
+# determinism, not speed, is under test.
+for threads in 1 2 4; do
+    echo "==> BGW_THREADS=$threads cargo test -q --workspace"
+    BGW_THREADS=$threads cargo test -q --workspace
+done
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
