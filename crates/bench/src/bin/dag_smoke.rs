@@ -15,21 +15,17 @@
 //!    core and no schedule can make them faster, so the gate is skipped
 //!    with a notice (numbers are still recorded).
 //! 3. **Task-granular recovery** — under a rank crash at world size 4,
-//!    the DAG resilient driver must re-enqueue exactly the dead rank's
-//!    orphaned tasks (not a whole stage), reproduce the fault-free QP
-//!    energies to 1e-10, and its recompute fraction must be strictly
-//!    smaller than the stage-granular driver's.
+//!    the fault-tolerant distributed driver must re-enqueue exactly the
+//!    dead rank's orphaned tasks, reproduce the fault-free QP energies to
+//!    1e-10, and recompute a strict subset of the CHI stage (fewer than
+//!    its `nv` tasks).
 //!
 //! A watchdog aborts with exit 2 on a hang; worker threads must return to
 //! baseline. Writes `BENCH_task_dag.json` into the current directory.
 
 use bgw_comm::{try_run_world, CommError, FaultPlan, WorldReport};
-use bgw_core::resilient::{
-    run_gpp_gw_resilient, run_gpp_gw_resilient_dag, ResilientDagReport, ResilientError,
-    ResilientGwReport,
-};
-use bgw_core::run_gpp_gw_dag;
 use bgw_core::workflow::{run_gpp_gw, GwConfig};
+use bgw_core::{run_gpp_gw_dag, run_gpp_gw_resilient, GwError, ResilientGwReport};
 use bgw_pwdft::{si_bulk, ModelSystem};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -88,24 +84,13 @@ fn recovery_system() -> ModelSystem {
     sys
 }
 
-fn dag_world(plan: FaultPlan) -> WorldReport<ResilientDagReport> {
-    let sys = recovery_system();
-    let cfg = GwConfig::default();
-    try_run_world(WORLD, plan, move |comm| {
-        run_gpp_gw_resilient_dag(&sys, &cfg, comm).map_err(|e| match e {
-            ResilientError::Comm(c) => c,
-            ResilientError::Epsilon(eps) => panic!("unexpected epsilon failure: {eps}"),
-        })
-    })
-}
-
-fn stage_world(plan: FaultPlan) -> WorldReport<ResilientGwReport> {
+fn dag_world(plan: FaultPlan) -> WorldReport<ResilientGwReport> {
     let sys = recovery_system();
     let cfg = GwConfig::default();
     try_run_world(WORLD, plan, move |comm| {
         run_gpp_gw_resilient(&sys, &cfg, comm).map_err(|e| match e {
-            ResilientError::Comm(c) => c,
-            ResilientError::Epsilon(eps) => panic!("unexpected epsilon failure: {eps}"),
+            GwError::Comm(c) => c,
+            other => panic!("unexpected non-comm failure: {other}"),
         })
     })
 }
@@ -239,13 +224,6 @@ fn main() {
     let tasks_total = free.results[0].as_ref().unwrap().tasks_total;
 
     let t = Instant::now();
-    let stage_crash = stage_world(FaultPlan::none().crash_at(2, 0));
-    let stage_wall = t.elapsed().as_secs_f64();
-    if stage_crash.faults.crashes != 1 {
-        fail("recovery: stage-level crash scenario did not fire");
-    }
-
-    let t = Instant::now();
     let dag_crash = dag_world(FaultPlan::none().crash_at(2, 0));
     let dag_wall = t.elapsed().as_secs_f64();
     if dag_crash.faults.crashes != 1 || dag_crash.faults.shrinks == 0 {
@@ -279,8 +257,7 @@ fn main() {
     }
     // The dead rank orphaned exactly its CHI band tasks (the crash fires
     // at the CHI allreduce); task-granular recovery recomputes those and
-    // nothing else. Stage-granular recovery recomputes the whole CHI
-    // stage: every surviving rank's share again, i.e. all `nv` tasks.
+    // nothing else, a strict subset of the stage's `nv` tasks.
     let orphaned = (0..nv).filter(|v| v % WORLD == 2).count();
     if reenqueued_total != orphaned {
         fail(&format!(
@@ -290,11 +267,11 @@ fn main() {
     }
     let reenq_fraction = reenqueued_total as f64 / nv as f64;
     if reenqueued_total >= nv {
-        fail("recovery: DAG recompute must be a strict subset of the stage recompute");
+        fail("recovery: recompute must be a strict subset of the CHI stage");
     }
     println!(
         "recovery : {reenqueued_total}/{nv} CHI tasks re-enqueued ({:.0}% of the stage), \
-         stage-level wall {stage_wall:.3}s, DAG wall {dag_wall:.3}s",
+         recovered wall {dag_wall:.3}s",
         reenq_fraction * 100.0
     );
 
@@ -320,7 +297,6 @@ fn main() {
          \"recovery\": {{\n    \"world\": {WORLD},\n    \"tasks_total\": {tasks_total},\n    \
          \"chi_tasks\": {nv},\n    \"tasks_reenqueued\": {reenqueued_total},\n    \
          \"reenqueued_fraction_of_chi_stage\": {reenq_fraction:.3},\n    \
-         \"stage_level_recovered_wall_s\": {stage_wall:.3},\n    \
          \"dag_recovered_wall_s\": {dag_wall:.3},\n    \"qp_tol\": 1e-10\n  }}\n}}\n",
         dag.stats.tasks,
         cores >= 4,

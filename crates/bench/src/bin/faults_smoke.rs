@@ -1,6 +1,6 @@
 //! Fault-injection smoke gate (wired into `tools/check.sh --faults`).
 //!
-//! Runs the resilient distributed GPP pipeline at world size 4 under a
+//! Runs the fault-tolerant distributed GPP pipeline at world size 4 under a
 //! fault-free plan (the oracle) and three canned fault plans — a rank
 //! crash, transient send failures, and a corrupted collective payload —
 //! and verifies the recovery contract end to end:
@@ -12,14 +12,13 @@
 //! * no scenario deadlocks (a watchdog thread aborts the process with
 //!   exit code 2 if the battery does not finish in time) and no worker
 //!   threads are leaked (`/proc/self/status` thread count must return to
-//!   its baseline).
+//!   its baseline, read after the persistent worker pool has spawned).
 //!
 //! Any violated gate aborts with a nonzero exit so CI catches it.
 
 use bgw_comm::{try_run_world, CommError, FaultPlan, WorldReport};
-use bgw_core::resilient::{ResilientError, ResilientGwReport};
-use bgw_core::run_gpp_gw_resilient;
 use bgw_core::workflow::GwConfig;
+use bgw_core::{run_gpp_gw_resilient, GwError, ResilientGwReport};
 use bgw_pwdft::{si_bulk, ModelSystem};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -54,10 +53,10 @@ fn resilient_run(plan: FaultPlan) -> WorldReport<ResilientGwReport> {
     let cfg = GwConfig::default();
     try_run_world(WORLD, plan, move |comm| {
         run_gpp_gw_resilient(&sys, &cfg, comm).map_err(|e| match e {
-            ResilientError::Comm(c) => c,
+            GwError::Comm(c) => c,
             // The smoke systems are well-conditioned; a singular epsilon
             // here is a bug, not a scenario.
-            ResilientError::Epsilon(eps) => panic!("unexpected epsilon failure: {eps}"),
+            other => panic!("unexpected non-comm failure: {other}"),
         })
     })
 }
@@ -88,9 +87,13 @@ fn main() {
     });
 
     let t0 = Instant::now();
+    // The worker pool is a persistent singleton whose threads never exit
+    // by design: spawn all of them with one full-width region before the
+    // baseline, so the gate only catches leaked world-rank threads.
+    bgw_par::parallel_for_chunked(bgw_par::num_threads(), 1, |_, _| {});
     let threads_baseline = thread_count();
 
-    // Fault-free oracle through the same resilient code path.
+    // Fault-free oracle through the same fault-tolerant code path.
     let oracle = resilient_run(FaultPlan::none());
     if !oracle.all_ok() {
         eprintln!("FAIL [oracle]: {:?}", oracle.first_error());

@@ -456,21 +456,9 @@ pub fn chi_distributed_2d(
 /// Distributed polarizability: each rank of `comm` computes the partial sum
 /// over its (round-robin) share of the valence bands and the results are
 /// summed with an allreduce — the parallel decomposition of the Epsilon
-/// module.
+/// module. Communicator faults (peer crashes, exhausted retries,
+/// corruption) surface as `Err` instead of panicking.
 pub fn chi_distributed(
-    comm: &bgw_comm::Comm,
-    wf: &Wavefunctions,
-    mtxel: &Mtxel,
-    cfg: ChiConfig,
-    omegas: &[f64],
-) -> Vec<CMatrix> {
-    try_chi_distributed(comm, wf, mtxel, cfg, omegas).unwrap_or_else(|e| std::panic::panic_any(e))
-}
-
-/// Fallible [`chi_distributed`]: communicator faults (peer crashes,
-/// exhausted retries, corruption) surface as `Err` instead of panicking,
-/// so a resilient driver can shrink the communicator and retry.
-pub fn try_chi_distributed(
     comm: &bgw_comm::Comm,
     wf: &Wavefunctions,
     mtxel: &Mtxel,
@@ -684,7 +672,8 @@ mod tests {
         let serial = ChiEngine::new(&wf, &mtxel, ChiConfig::default()).chi_static();
         let (results, _) = bgw_comm::run_world(3, |comm| {
             let mtxel = Mtxel::new(&wfn, &eps);
-            let chis = chi_distributed(comm, &wf, &mtxel, ChiConfig::default(), &[0.0]);
+            let chis = chi_distributed(comm, &wf, &mtxel, ChiConfig::default(), &[0.0])
+                .expect("fault-free world");
             chis[0].as_slice().to_vec()
         });
         for r in results {

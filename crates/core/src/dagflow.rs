@@ -27,6 +27,7 @@
 use crate::chi::ChiEngine;
 use crate::dyson::three_point_grids;
 use crate::epsilon::EpsilonInverse;
+use crate::error::GwError;
 use crate::gpp::GppModel;
 use crate::service::prefix;
 use crate::sigma::diag::{gpp_sigma_diag, SigmaDiagResult};
@@ -43,47 +44,9 @@ use std::time::Instant;
 /// the kernel's counted FLOPs, and its wall seconds.
 type SigmaPart = (Vec<f64>, u64, f64);
 
-/// Typed failure of a DAG-scheduled run. A malformed task-graph state —
-/// an empty input slot where a dependency should have deposited data, or
-/// a numerically dead dielectric matrix — used to panic the worker pool;
-/// it now fails the run with the *first* error encountered (later
-/// missing-input cascades are suppressed so the root cause surfaces).
-#[derive(Clone, Debug, PartialEq)]
-pub enum DagflowError {
-    /// A task ran with an empty input slot: the dependency that should
-    /// have filled it never deposited (it died or was misordered).
-    MissingInput {
-        /// The task that found its input missing.
-        task: &'static str,
-        /// Which input slot was empty.
-        input: &'static str,
-    },
-    /// The dielectric inversion failed (singular / non-finite matrix).
-    Epsilon(crate::epsilon::EpsilonError),
-}
-
-impl std::fmt::Display for DagflowError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::MissingInput { task, input } => {
-                write!(f, "dag task '{task}' found input '{input}' missing")
-            }
-            Self::Epsilon(e) => write!(f, "dag epsilon task: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for DagflowError {}
-
-impl From<crate::epsilon::EpsilonError> for DagflowError {
-    fn from(e: crate::epsilon::EpsilonError) -> Self {
-        Self::Epsilon(e)
-    }
-}
-
 /// Records the first error of the run; cascading follow-up errors (a
 /// missing input *because* an upstream task bailed) are dropped.
-fn record_err(slot: &Mutex<Option<DagflowError>>, e: DagflowError) {
+fn record_err(slot: &Mutex<Option<GwError>>, e: GwError) {
     let mut g = slot.lock().unwrap_or_else(|p| p.into_inner());
     if g.is_none() {
         *g = Some(e);
@@ -140,9 +103,9 @@ fn charge(acc: &Mutex<StageSeconds>, stage: usize, t0: Instant) {
 /// equal counted Sigma FLOPs.
 ///
 /// A malformed task-graph state (a task input that was never deposited)
-/// or a failed dielectric inversion returns a typed [`DagflowError`]
+/// or a failed dielectric inversion returns a typed [`GwError`]
 /// instead of panicking the worker pool.
-pub fn run_gpp_gw_dag(system: &ModelSystem, cfg: &GwConfig) -> Result<DagGwResults, DagflowError> {
+pub fn run_gpp_gw_dag(system: &ModelSystem, cfg: &GwConfig) -> Result<DagGwResults, GwError> {
     run_gpp_gw_dag_injected(system, cfg, DagFaults::default())
 }
 
@@ -152,7 +115,7 @@ pub(crate) fn run_gpp_gw_dag_injected(
     system: &ModelSystem,
     cfg: &GwConfig,
     faults: DagFaults,
-) -> Result<DagGwResults, DagflowError> {
+) -> Result<DagGwResults, GwError> {
     let _run_span = bgw_trace::span!("workflow.gpp_gw_dag");
     let counters0 = bgw_perf::counters::snapshot();
     let mut timings = GwTimings::default();
@@ -201,7 +164,7 @@ pub(crate) fn run_gpp_gw_dag_injected(
     let sigma_parts: Vec<Mutex<Option<SigmaPart>>> =
         sigma_bands.iter().map(|_| Mutex::new(None)).collect();
     let stage_s: Mutex<StageSeconds> = Mutex::new(StageSeconds::default());
-    let err_slot: Mutex<Option<DagflowError>> = Mutex::new(None);
+    let err_slot: Mutex<Option<GwError>> = Mutex::new(None);
 
     let stats = {
         let mut g = TaskGraph::new();
@@ -292,7 +255,7 @@ pub(crate) fn run_gpp_gw_dag_injected(
                         None => {
                             record_err(
                                 err_slot,
-                                DagflowError::MissingInput {
+                                GwError::MissingInput {
                                     task: "epsilon.invert",
                                     input: "chi reduction",
                                 },
@@ -312,7 +275,7 @@ pub(crate) fn run_gpp_gw_dag_injected(
                             None => {
                                 record_err(
                                     err_slot,
-                                    DagflowError::MissingInput {
+                                    GwError::MissingInput {
                                         task: "epsilon.invert",
                                         input: "single-frequency inverse",
                                     },
@@ -321,7 +284,7 @@ pub(crate) fn run_gpp_gw_dag_injected(
                             }
                         },
                         Err(e) => {
-                            record_err(err_slot, DagflowError::Epsilon(e));
+                            record_err(err_slot, GwError::Epsilon(e));
                             return;
                         }
                     };
@@ -342,7 +305,7 @@ pub(crate) fn run_gpp_gw_dag_injected(
                     None => {
                         record_err(
                             err_slot,
-                            DagflowError::MissingInput {
+                            GwError::MissingInput {
                                 task: "epsilon.assemble",
                                 input: "per-frequency inverse",
                             },
@@ -371,7 +334,7 @@ pub(crate) fn run_gpp_gw_dag_injected(
             let (Some(eps), Some(rho)) = (eps_slot.get(), rho_slot.get()) else {
                 record_err(
                     err_slot,
-                    DagflowError::MissingInput {
+                    GwError::MissingInput {
                         task: "gpp.build",
                         input: "epsilon inverse / charge density",
                     },
@@ -389,7 +352,7 @@ pub(crate) fn run_gpp_gw_dag_injected(
             let Some(gpp) = gpp_slot.lock().unwrap_or_else(|e| e.into_inner()).take() else {
                 record_err(
                     err_slot,
-                    DagflowError::MissingInput {
+                    GwError::MissingInput {
                         task: "sigma.context",
                         input: "gpp model",
                     },
@@ -418,7 +381,7 @@ pub(crate) fn run_gpp_gw_dag_injected(
                 let Some(ctx) = ctx_slot.get() else {
                     record_err(
                         err_slot,
-                        DagflowError::MissingInput {
+                        GwError::MissingInput {
                             task: "sigma.band",
                             input: "sigma context",
                         },
@@ -444,11 +407,11 @@ pub(crate) fn run_gpp_gw_dag_injected(
     }
 
     // Final (trivial) assembly on the caller: fixed band order.
-    let ctx = ctx_slot.into_inner().ok_or(DagflowError::MissingInput {
+    let ctx = ctx_slot.into_inner().ok_or(GwError::MissingInput {
         task: "assembly",
         input: "sigma context",
     })?;
-    let eps_inv = eps_slot.into_inner().ok_or(DagflowError::MissingInput {
+    let eps_inv = eps_slot.into_inner().ok_or(GwError::MissingInput {
         task: "assembly",
         input: "epsilon inverse",
     })?;
@@ -460,7 +423,7 @@ pub(crate) fn run_gpp_gw_dag_injected(
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .take()
-            .ok_or(DagflowError::MissingInput {
+            .ok_or(GwError::MissingInput {
                 task: "assembly",
                 input: "sigma band part",
             })?;
@@ -580,12 +543,15 @@ mod tests {
             },
         )
         .expect_err("dropped reduction must fail the run");
-        assert_eq!(
-            err,
-            DagflowError::MissingInput {
-                task: "epsilon.invert",
-                input: "chi reduction",
-            }
+        assert!(
+            matches!(
+                err,
+                GwError::MissingInput {
+                    task: "epsilon.invert",
+                    input: "chi reduction",
+                }
+            ),
+            "wrong error: {err:?}"
         );
     }
 
@@ -604,7 +570,7 @@ mod tests {
         assert!(
             matches!(
                 err,
-                DagflowError::Epsilon(crate::epsilon::EpsilonError::NonFinite { .. })
+                GwError::Epsilon(crate::epsilon::EpsilonError::NonFinite { .. })
             ),
             "wrong error: {err:?}"
         );

@@ -26,6 +26,7 @@ pub mod coulomb;
 pub mod dagflow;
 pub mod dyson;
 pub mod epsilon;
+pub mod error;
 pub mod gpp;
 pub mod gwpt;
 pub mod mtxel;
@@ -46,21 +47,17 @@ pub use chi::{ChiConfig, ChiEngine};
 pub use cohsex::{cohsex_sigma, CohsexValue};
 pub use convergence::{sweep_bands, sweep_eps_cutoff, ConvergenceStudy};
 pub use coulomb::Coulomb;
-pub use dagflow::{run_gpp_gw_dag, DagGwResults, DagflowError};
+pub use dagflow::{run_gpp_gw_dag, DagGwResults};
 pub use dyson::{solve_qp_diag, solve_qp_full, QpState};
 pub use epsilon::{is_static_freq, EpsilonError, EpsilonInverse};
+pub use error::GwError;
 pub use gpp::{godby_needs, GppModel};
 pub use gwpt::{gwpt_for_perturbation, GwptResult};
 pub use mtxel::{BandCache, Mtxel};
 pub use params::GwParams;
 pub use pseudobands::{chebyshev_pseudoband, compress, Pseudobands, PseudobandsConfig};
-pub use resilient::{
-    run_gpp_gw_resilient, run_gpp_gw_resilient_dag, with_recovery, CommCursor, ResilientDagReport,
-    ResilientError, ResilientGwReport, MAX_RECOVERIES,
-};
-pub use restart::{
-    run_evgw_checkpointed, run_gpp_gw_checkpointed, CheckpointPolicy, GwStage, RestartError,
-};
+pub use resilient::{run_gpp_gw_resilient, ResilientGwReport};
+pub use restart::{run_evgw_checkpointed, run_gpp_gw_checkpointed, CheckpointPolicy, GwStage};
 pub use service::{
     band_subset, build_screening, ff_eval, screening_from_checkpoint, screening_to_checkpoint,
     sigma_context, FfEvalResult, FfSpec, Screening,
@@ -74,7 +71,7 @@ pub use sigma::imagaxis::{imag_axis_sigma_diag, SigmaImagAxisResult};
 pub use sigma::offdiag::{gpp_sigma_offdiag, gpp_sigma_offdiag_distributed, SigmaOffdiagResult};
 pub use sigma::SigmaContext;
 pub use spacetime::{
-    build_imag_epsilon, run_imagaxis_gw, ChiBackend, ImagAxisError, ImagAxisGwResult, SpaceTimeChi,
+    build_imag_epsilon, run_imagaxis_gw, ChiBackend, ImagAxisGwResult, SpaceTimeChi,
     SpaceTimeConfig, SpaceTimeError, SpaceTimeReport,
 };
 pub use spectral::SpectralFunction;

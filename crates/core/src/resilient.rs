@@ -1,30 +1,25 @@
-//! Fault-tolerant distributed GW: shrink-and-retry over the simulated
-//! communicator.
+//! Fault-tolerant distributed GW: task-granular shrink-and-retry over the
+//! simulated communicator.
 //!
 //! The distributed GPP pipeline (CHI allreduce -> Newton-Schulz epsilon
-//! inversion -> G'-sliced Sigma) is rebuilt here on the fallible `try_*`
-//! collectives: when a peer rank crashes mid-collective, the survivors
-//! observe a typed [`CommError::PeerCrashed`], agree on a shrunken
-//! communicator via [`Comm::shrink`], redistribute the work over the new
-//! (dense, ordered) ranks, and re-run the failed stage. Unrecoverable
-//! faults — the crashed rank's own error, exhausted retries, persistent
-//! corruption, a poisoned world — propagate out as `Err` instead of
-//! deadlocking, which is the ULFM-style contract of paper-scale runs.
-//!
-//! Every stage retry restarts the *stage*, not the pipeline: results
-//! already replicated on the survivors (e.g. the CHI matrices) are kept.
-//!
-//! [`run_gpp_gw_resilient_dag`] goes one granularity level further: the
-//! CHI and Sigma stages are decomposed into fixed task sets (one task per
-//! valence band, `2 * world` G' slices), and a crash re-enqueues only the
-//! tasks whose owner died instead of re-running the survivors' work
-//! (DESIGN.md Sec. 14).
+//! inversion -> G'-sliced Sigma) runs here on the fallible `try_*`
+//! collectives. The CHI and Sigma stages are decomposed into fixed task
+//! sets (one task per valence band, `2 * world` G' slices). When a peer
+//! rank crashes mid-collective, the survivors observe a typed
+//! [`CommError::PeerCrashed`], agree on a shrunken communicator via
+//! [`Comm::shrink`], and re-enqueue only the tasks whose owner died;
+//! results already held by a survivor are never recomputed (DESIGN.md
+//! Sec. 14). Unrecoverable faults — the crashed rank's own error,
+//! exhausted retries, persistent corruption, a poisoned world — propagate
+//! out as `Err` instead of deadlocking, which is the ULFM-style contract of
+//! paper-scale runs.
 
-use crate::chi::{try_chi_distributed, ChiEngine};
+use crate::chi::ChiEngine;
 use crate::dyson::{qp_gap, solve_qp_diag, three_point_grids, QpState};
 use crate::epsilon::{EpsilonError, EpsilonInverse};
+use crate::error::GwError;
 use crate::service::{finish_screening, prefix};
-use crate::sigma::diag::{gpp_sigma_diag_partial, try_gpp_sigma_diag_distributed, SigmaDiagResult};
+use crate::sigma::diag::{gpp_sigma_diag_partial, SigmaDiagResult};
 use crate::workflow::{window_context, GwConfig, GwTimings};
 use bgw_comm::{Comm, CommError};
 use bgw_dist::{try_invert_epsilon_distributed, DistError, DistMatrix};
@@ -38,77 +33,20 @@ use std::time::Instant;
 
 /// Most shrink-and-retry cycles one stage may consume before giving up
 /// with [`CommError::RecoveryExhausted`].
-pub const MAX_RECOVERIES: u32 = 8;
-
-/// How a resilient run fails: a communicator fault, or an application
-/// condition that no amount of shrink-and-retry can fix.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ResilientError {
-    /// A runtime fault of the simulated communicator (crash, exhausted
-    /// retries, corruption, poisoned world).
-    Comm(CommError),
-    /// The dielectric matrix is singular or non-finite — retrying on a
-    /// shrunken communicator would recompute the same matrix, so this is
-    /// reported as data instead of burning recovery cycles (or panicking
-    /// inside the Newton-Schulz iteration, which would poison the world
-    /// for every surviving rank).
-    Epsilon(EpsilonError),
-}
-
-impl std::fmt::Display for ResilientError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ResilientError::Comm(e) => write!(f, "communicator fault: {e:?}"),
-            ResilientError::Epsilon(e) => write!(f, "epsilon stage: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ResilientError {}
-
-impl From<CommError> for ResilientError {
-    fn from(e: CommError) -> Self {
-        ResilientError::Comm(e)
-    }
-}
-
-impl From<EpsilonError> for ResilientError {
-    fn from(e: EpsilonError) -> Self {
-        ResilientError::Epsilon(e)
-    }
-}
-
-impl From<DistError> for ResilientError {
-    fn from(e: DistError) -> Self {
-        match e {
-            DistError::Comm(c) => ResilientError::Comm(c),
-            // Newton-Schulz non-convergence means the dielectric matrix
-            // is singular/ill-conditioned — the same application-level
-            // condition the LU pre-flight reports, so it maps onto the
-            // existing epsilon failure surface (deterministic across
-            // ranks; retrying on a shrunken world recomputes the same
-            // matrix).
-            DistError::NotConverged { .. } => ResilientError::Epsilon(EpsilonError::Singular {
-                freq_index: 0,
-                omega: 0.0,
-            }),
-        }
-    }
-}
+const MAX_RECOVERIES: u32 = 8;
 
 /// Borrow-or-owned communicator cursor: starts out borrowing the world
 /// communicator handed to a rank closure and switches to owned shrunken
 /// communicators as ranks are lost, so every later stage automatically
 /// runs on the current survivor set.
-pub struct CommCursor<'a> {
+struct CommCursor<'a> {
     world: &'a Comm,
     owned: Option<Comm>,
     recoveries: u32,
 }
 
 impl<'a> CommCursor<'a> {
-    /// Starts the cursor on the (borrowed) world communicator.
-    pub fn new(world: &'a Comm) -> Self {
+    fn new(world: &'a Comm) -> Self {
         Self {
             world,
             owned: None,
@@ -117,27 +55,22 @@ impl<'a> CommCursor<'a> {
     }
 
     /// The communicator every operation should currently use.
-    pub fn get(&self) -> &Comm {
+    fn get(&self) -> &Comm {
         self.owned.as_ref().unwrap_or(self.world)
     }
 
     /// Shrinks the current communicator to its survivors.
-    pub fn shrink(&mut self) -> Result<(), CommError> {
+    fn shrink(&mut self) -> Result<(), CommError> {
         self.owned = Some(self.get().shrink()?);
         self.recoveries += 1;
         Ok(())
-    }
-
-    /// Shrink-and-retry cycles performed so far.
-    pub fn recoveries(&self) -> u32 {
-        self.recoveries
     }
 }
 
 /// Runs `f` against the cursor's communicator, shrinking and retrying on
 /// recoverable faults (peer crashes). Non-recoverable errors — including
 /// this rank's own injected crash — return immediately.
-pub fn with_recovery<T>(
+fn with_recovery<T>(
     cursor: &mut CommCursor<'_>,
     mut f: impl FnMut(&Comm) -> Result<T, CommError>,
 ) -> Result<T, CommError> {
@@ -157,7 +90,7 @@ pub fn with_recovery<T>(
 /// [`DistError`] may embed a recoverable communicator fault. Numerical
 /// failures ([`DistError::NotConverged`]) return immediately — they are
 /// deterministic, so shrinking would just recompute the same failure.
-pub fn with_recovery_dist<T>(
+fn with_recovery_dist<T>(
     cursor: &mut CommCursor<'_>,
     mut f: impl FnMut(&Comm) -> Result<T, DistError>,
 ) -> Result<T, DistError> {
@@ -173,87 +106,18 @@ pub fn with_recovery_dist<T>(
     }))
 }
 
-/// What a surviving rank reports after a resilient GPP run.
-#[derive(Clone, Debug)]
-pub struct ResilientGwReport {
-    /// Band indices whose self-energy was computed.
-    pub sigma_bands: Vec<usize>,
-    /// Quasiparticle solutions, aligned with `sigma_bands`.
-    pub states: Vec<QpState>,
-    /// Quasiparticle gap (Ry).
-    pub gap_qp_ry: f64,
-    /// Macroscopic dielectric constant.
-    pub eps_macro: f64,
-    /// Communicator size at the end of the run (`< initial` iff ranks
-    /// were lost and the survivors recovered).
-    pub final_size: usize,
-    /// Shrink-and-retry cycles this rank performed.
-    pub recoveries: u32,
-}
-
-/// The distributed G0W0(GPP) pipeline on fallible collectives with
-/// shrink-and-retry recovery.
-///
-/// Under a fault-free plan this reproduces the serial
-/// [`run_gpp_gw`](crate::workflow::run_gpp_gw) physics through the
-/// distributed code path (Newton-Schulz inversion instead of LU, so QP
-/// energies agree to the iteration tolerance rather than bitwise). Under
-/// a seeded [`bgw_comm::FaultPlan`], surviving ranks recover and
-/// reproduce the *fault-free resilient* run's QP energies to 1e-10; the
-/// crashed rank gets its own typed error. A singular dielectric matrix
-/// surfaces as [`ResilientError::Epsilon`] on every rank instead of a
-/// panic inside the distributed inversion.
-pub fn run_gpp_gw_resilient(
-    system: &ModelSystem,
-    cfg: &GwConfig,
-    comm: &Comm,
-) -> Result<ResilientGwReport, ResilientError> {
-    let mut cursor = CommCursor::new(comm);
-    let mut timings = GwTimings::default();
-    let p = prefix(system, cfg, &mut timings);
-
-    // CHI: round-robin valence split + allreduce, re-split on shrink.
-    let chi0 = with_recovery(&mut cursor, |c| {
-        Ok(try_chi_distributed(c, &p.wf, &p.mtxel, p.chi_cfg, &[0.0])?
-            .pop()
-            .unwrap())
-    })?;
-
-    // Epsilon: distributed Newton-Schulz inversion, replicated at the end.
-    let eps_inv = epsilon_stage(&mut cursor, &chi0, &p.vsqrt)?;
-
-    // Sigma: G'-sliced diag kernel + allreduce, re-sliced on shrink.
-    let s = finish_screening(p, eps_inv, None);
-    let ctx = window_context(&s, cfg, &mut timings);
-    let grids = three_point_grids(&ctx.sigma_energies, cfg.sampling_delta_ry);
-    let diag = with_recovery(&mut cursor, |c| {
-        try_gpp_sigma_diag_distributed(c, &ctx, &grids)
-    })?;
-
-    let states = solve_qp_diag(&ctx.sigma_energies, &diag);
-    let gap_qp = qp_gap(&states, ctx.homo_pos(), ctx.lumo_pos());
-    Ok(ResilientGwReport {
-        sigma_bands: ctx.sigma_bands.clone(),
-        states,
-        gap_qp_ry: gap_qp,
-        eps_macro: s.eps_macro,
-        final_size: cursor.get().size(),
-        recoveries: cursor.recoveries(),
-    })
-}
-
-/// The epsilon stage shared by both resilient drivers. NS diverges (and
-/// asserts) on a singular matrix, so a rank-local LU factorization of the
-/// replicated eps~ screens for singularity first — every rank sees the
-/// same matrix, so every rank agrees on the typed error and no collective
-/// is left half-entered. The stage is deliberately *stage*-granular even
-/// on the DAG path: the Newton-Schulz iterates are global state, so there
-/// is no finer-grained task whose loss could be recovered independently.
+/// The epsilon stage. NS diverges (and asserts) on a singular matrix, so a
+/// rank-local LU factorization of the replicated eps~ screens for
+/// singularity first — every rank sees the same matrix, so every rank
+/// agrees on the typed error and no collective is left half-entered. The
+/// stage is deliberately *stage*-granular: the Newton-Schulz iterates are
+/// global state, so there is no finer-grained task whose loss could be
+/// recovered independently.
 fn epsilon_stage(
     cursor: &mut CommCursor<'_>,
     chi0: &CMatrix,
     vsqrt: &[f64],
-) -> Result<EpsilonInverse, ResilientError> {
+) -> Result<EpsilonInverse, GwError> {
     let eps_m = crate::epsilon::assemble_sym_eps(chi0, vsqrt);
     if !eps_m
         .as_slice()
@@ -285,19 +149,14 @@ fn epsilon_stage(
     ))
 }
 
-// ---------------------------------------------------------------------------
-// Task-granular recovery: the DAG resilient driver
-// ---------------------------------------------------------------------------
-
-/// Runs one stage's locally-owned tasks through a [`TaskGraph`]
-/// (overdecomposed and work-stolen when a worker pool is available) and
-/// returns their payloads in task order.
-fn run_task_set<T, F>(ids: &[usize], f: &F) -> Vec<T>
+/// Runs the tasks `ids` through a [`TaskGraph`] (overdecomposed and
+/// work-stolen when a worker pool is available), then folds their payloads
+/// into `partial` in task order and marks them `done`.
+fn run_tasks_into<F>(ids: &[usize], f: &F, done: &mut [bool], partial: &mut [Complex64])
 where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
+    F: Fn(usize) -> Vec<Complex64> + Sync,
 {
-    let slots: Vec<Mutex<Option<T>>> = ids.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<Vec<Complex64>>>> = ids.iter().map(|_| Mutex::new(None)).collect();
     {
         let mut g = TaskGraph::new();
         for (i, &t) in ids.iter().enumerate() {
@@ -308,13 +167,25 @@ where
         }
         g.execute();
     }
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("task executed")
-        })
+    for (&t, slot) in ids.iter().zip(slots) {
+        let contrib = slot
+            .into_inner()
+            .unwrap_or_else(|e| e.into_inner())
+            .expect("task executed");
+        assert_eq!(contrib.len(), partial.len(), "task payload shape");
+        for (a, b) in partial.iter_mut().zip(&contrib) {
+            *a += *b;
+        }
+        done[t] = true;
+    }
+}
+
+/// This rank's round-robin share of `tasks` on communicator `c`.
+fn my_share(tasks: impl Iterator<Item = usize>, c: &Comm) -> Vec<usize> {
+    tasks
+        .enumerate()
+        .filter(|(i, _)| i % c.size() == c.rank())
+        .map(|(_, t)| t)
         .collect()
 }
 
@@ -338,65 +209,55 @@ fn lost_tasks(cursor: &mut CommCursor<'_>, done: &[bool]) -> Result<Vec<usize>, 
         .collect())
 }
 
-/// Allreduce-sum of per-task contributions with task-granular recovery.
+/// One stage of `n_tasks` tasks, each contributing a payload of `len`
+/// complex numbers, summed over the world with task-granular recovery.
 ///
-/// On a peer crash the survivors shrink, agree on the orphaned tasks via
-/// [`lost_tasks`], re-enqueue ONLY those (split round-robin over the
-/// survivor ranks and executed through the task graph), fold the
-/// recomputed contributions into the local partial, and retry the
-/// collective. Tasks whose results already live on a survivor are never
-/// recomputed — that is what makes recovery task-granular instead of
-/// stage-granular: losing one rank of `P` costs `~1/P` of the stage, not
-/// the whole stage.
-fn allreduce_with_reenqueue<F>(
+/// Task owners are fixed round-robin over the communicator the stage
+/// starts on. Each rank folds its own tasks into a local partial and
+/// allreduces it. On a peer crash the survivors shrink, agree on the
+/// orphaned tasks via [`lost_tasks`], re-enqueue ONLY those (split
+/// round-robin over the survivors), fold the recomputed contributions into
+/// the local partial, and retry the collective. Losing one rank of `P`
+/// costs `~1/P` of the stage, not the whole stage.
+fn reduce_tasks<F>(
     cursor: &mut CommCursor<'_>,
-    done: &mut [bool],
-    partial: &mut [Complex64],
+    n_tasks: usize,
+    len: usize,
     reenqueued: &mut usize,
     compute: &F,
-) -> Result<Vec<Complex64>, ResilientError>
+) -> Result<Vec<Complex64>, GwError>
 where
     F: Fn(usize) -> Vec<Complex64> + Sync,
 {
+    let mut done = vec![false; n_tasks];
+    let mut partial = vec![Complex64::ZERO; len];
+    let mine = my_share(0..n_tasks, cursor.get());
+    run_tasks_into(&mine, compute, &mut done, &mut partial);
     loop {
-        match cursor.get().try_allreduce_sum_c64(partial.to_vec()) {
+        match cursor.get().try_allreduce_sum_c64(partial.clone()) {
             Ok(total) => return Ok(total),
             Err(e) if e.is_recoverable() => {
-                if cursor.recoveries() >= MAX_RECOVERIES {
+                if cursor.recoveries >= MAX_RECOVERIES {
                     return Err(CommError::RecoveryExhausted {
                         attempts: MAX_RECOVERIES,
                     }
                     .into());
                 }
                 cursor.shrink()?;
-                let lost = lost_tasks(cursor, done)?;
-                let c = cursor.get();
-                let mine: Vec<usize> = lost
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .filter(|(i, _)| i % c.size() == c.rank())
-                    .map(|(_, t)| t)
-                    .collect();
+                let lost = lost_tasks(cursor, &done)?;
+                let mine = my_share(lost.into_iter(), cursor.get());
                 bgw_perf::counters::record_dag_reenqueued(mine.len() as u64);
                 *reenqueued += mine.len();
-                for (t, contrib) in mine.iter().zip(run_task_set(&mine, compute)) {
-                    assert_eq!(contrib.len(), partial.len(), "task payload shape");
-                    for (a, b) in partial.iter_mut().zip(&contrib) {
-                        *a += *b;
-                    }
-                    done[*t] = true;
-                }
+                run_tasks_into(&mine, compute, &mut done, &mut partial);
             }
             Err(e) => return Err(e.into()),
         }
     }
 }
 
-/// What a surviving rank reports after a task-granular (DAG) resilient
-/// run.
+/// What a surviving rank reports after a fault-tolerant GPP run.
 #[derive(Clone, Debug)]
-pub struct ResilientDagReport {
+pub struct ResilientGwReport {
     /// Band indices whose self-energy was computed.
     pub sigma_bands: Vec<usize>,
     /// Quasiparticle solutions, aligned with `sigma_bands`.
@@ -405,7 +266,8 @@ pub struct ResilientDagReport {
     pub gap_qp_ry: f64,
     /// Macroscopic dielectric constant.
     pub eps_macro: f64,
-    /// Communicator size at the end of the run.
+    /// Communicator size at the end of the run (`< initial` iff ranks
+    /// were lost and the survivors recovered).
     pub final_size: usize,
     /// Shrink-and-retry cycles this rank performed.
     pub recoveries: u32,
@@ -420,23 +282,25 @@ pub struct ResilientDagReport {
     pub tasks_reenqueued: usize,
 }
 
-/// The distributed G0W0(GPP) pipeline with *task-granular* fault
-/// recovery.
+/// The distributed G0W0(GPP) pipeline with task-granular fault recovery.
 ///
-/// Where [`run_gpp_gw_resilient`] re-runs a whole stage after a crash
-/// (every survivor recomputes its share from scratch), this driver
-/// decomposes the CHI sum into one task per valence band and the Sigma
-/// G' summation into `2 * world` slices, tracks which task results are
-/// locally held, and on a crash re-enqueues only the tasks whose owner
-/// died. Fault-free runs reproduce the stage-granular driver's physics
-/// (same collectives, same reduction contents up to summation order);
-/// faulted runs reproduce the fault-free QP energies to 1e-10 while
-/// recomputing `~1/P` of the lost stages instead of all of them.
-pub fn run_gpp_gw_resilient_dag(
+/// The CHI sum is decomposed into one task per valence band and the Sigma
+/// G' summation into `2 * world` slices; each rank tracks which task
+/// results it holds, and on a crash the survivors re-enqueue only the
+/// tasks whose owner died. Under a fault-free plan this reproduces the
+/// serial [`run_gpp_gw`](crate::workflow::run_gpp_gw) physics through the
+/// distributed code path (Newton-Schulz inversion instead of LU, so QP
+/// energies agree to the iteration tolerance rather than bitwise). Under a
+/// seeded [`bgw_comm::FaultPlan`], surviving ranks recover and reproduce
+/// the fault-free run's QP energies to 1e-10; the crashed rank gets its
+/// own typed error. A singular dielectric matrix surfaces as
+/// [`GwError::Epsilon`] on every rank instead of a panic inside the
+/// distributed inversion.
+pub fn run_gpp_gw_resilient(
     system: &ModelSystem,
     cfg: &GwConfig,
     comm: &Comm,
-) -> Result<ResilientDagReport, ResilientError> {
+) -> Result<ResilientGwReport, GwError> {
     let mut cursor = CommCursor::new(comm);
     let mut reenqueued = 0usize;
     let mut timings = GwTimings::default();
@@ -455,28 +319,10 @@ pub fn run_gpp_gw_resilient_dag(
             .as_slice()
             .to_vec()
     };
-    let mut chi_done = vec![false; nv];
-    let mut chi_partial = vec![Complex64::ZERO; ng * ng];
-    {
-        let c = cursor.get();
-        let mine: Vec<usize> = (0..nv).filter(|v| v % c.size() == c.rank()).collect();
-        for (v, contrib) in mine.iter().zip(run_task_set(&mine, &chi_task)) {
-            for (a, b) in chi_partial.iter_mut().zip(&contrib) {
-                *a += *b;
-            }
-            chi_done[*v] = true;
-        }
-    }
     let chi0 = CMatrix::from_vec(
         ng,
         ng,
-        allreduce_with_reenqueue(
-            &mut cursor,
-            &mut chi_done,
-            &mut chi_partial,
-            &mut reenqueued,
-            &chi_task,
-        )?,
+        reduce_tasks(&mut cursor, nv, ng * ng, &mut reenqueued, &chi_task)?,
     );
 
     // Epsilon: stage-granular by design (see `epsilon_stage`).
@@ -502,22 +348,10 @@ pub fn run_gpp_gw_resilient_dag(
     };
     let t_sigma = Instant::now();
     let flat_len: usize = grids.iter().map(Vec::len).sum();
-    let mut sig_done = vec![false; n_slices];
-    let mut sig_partial = vec![Complex64::ZERO; flat_len];
-    {
-        let c = cursor.get();
-        let mine: Vec<usize> = (0..n_slices).filter(|t| t % c.size() == c.rank()).collect();
-        for (t, contrib) in mine.iter().zip(run_task_set(&mine, &sigma_task)) {
-            for (a, b) in sig_partial.iter_mut().zip(&contrib) {
-                *a += *b;
-            }
-            sig_done[*t] = true;
-        }
-    }
-    let reduced = allreduce_with_reenqueue(
+    let reduced = reduce_tasks(
         &mut cursor,
-        &mut sig_done,
-        &mut sig_partial,
+        n_slices,
+        flat_len,
         &mut reenqueued,
         &sigma_task,
     )?;
@@ -541,13 +375,13 @@ pub fn run_gpp_gw_resilient_dag(
 
     let states = solve_qp_diag(&ctx.sigma_energies, &diag);
     let gap_qp = qp_gap(&states, ctx.homo_pos(), ctx.lumo_pos());
-    Ok(ResilientDagReport {
+    Ok(ResilientGwReport {
         sigma_bands: ctx.sigma_bands.clone(),
         states,
         gap_qp_ry: gap_qp,
         eps_macro: s.eps_macro,
         final_size: cursor.get().size(),
-        recoveries: cursor.recoveries(),
+        recoveries: cursor.recoveries,
         tasks_total: nv + n_slices,
         tasks_reenqueued: reenqueued,
     })

@@ -19,13 +19,14 @@
 use crate::chi::{ChiEngine, ChiTimings};
 use crate::dyson::three_point_grids;
 use crate::epsilon::EpsilonInverse;
+use crate::error::GwError;
 use crate::service::{band_subset, finish_screening, prefix};
 use crate::sigma::diag::{gpp_sigma_diag, SigmaDiagResult};
 use crate::workflow::{
     evgw_iterate, gw_results, screened_context, window_context, EvGwResults, GwConfig, GwResults,
     GwTimings,
 };
-use bgw_io::{read_latest_checkpoint, write_checkpoint, Checkpoint, IoError};
+use bgw_io::{read_latest_checkpoint, write_checkpoint, Checkpoint};
 use bgw_linalg::CMatrix;
 use bgw_pwdft::ModelSystem;
 use std::path::PathBuf;
@@ -62,7 +63,7 @@ pub struct CheckpointPolicy {
     /// the uninterrupted [`ChiEngine`] sweep.
     pub chi_stride: Option<usize>,
     /// Test hook simulating a kill: abort with
-    /// [`RestartError::Aborted`] immediately *after* this many checkpoint
+    /// [`GwError::Aborted`] immediately *after* this many checkpoint
     /// writes, leaving a valid on-disk state to resume from.
     pub abort_after_writes: Option<usize>,
 }
@@ -78,68 +79,6 @@ impl CheckpointPolicy {
     }
 }
 
-/// Errors from a checkpointed run.
-#[derive(Debug)]
-pub enum RestartError {
-    /// Checkpoint file traffic failed.
-    Io(IoError),
-    /// The [`CheckpointPolicy::abort_after_writes`] kill switch fired.
-    Aborted {
-        /// Checkpoint writes completed before the abort.
-        writes: usize,
-    },
-    /// The dielectric matrix could not be inverted — an application
-    /// condition surfaced as data (the on-disk checkpoints up to the CHI
-    /// stage stay valid and resumable), not a panic that would discard
-    /// them.
-    Epsilon(crate::epsilon::EpsilonError),
-    /// A checkpoint decoded cleanly (checksums passed) but its payload
-    /// does not fit the run resuming from it: a missing or mis-shaped
-    /// matrix, a truncated metadata table, or a step count inconsistent
-    /// with the stored data. Stale residue from a different system or a
-    /// partially rewritten record degrades to this typed error instead of
-    /// an index-out-of-bounds panic deep inside the resume path.
-    Malformed {
-        /// Which resume path rejected the record (`"chi"`, `"epsilon"`,
-        /// `"sigma"`, `"evgw"`).
-        stage: &'static str,
-        /// What failed to validate.
-        reason: String,
-    },
-}
-
-impl std::fmt::Display for RestartError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RestartError::Io(e) => write!(f, "checkpoint io: {e}"),
-            RestartError::Aborted { writes } => {
-                write!(
-                    f,
-                    "aborted after {writes} checkpoint writes (injected kill)"
-                )
-            }
-            RestartError::Epsilon(e) => write!(f, "epsilon stage: {e}"),
-            RestartError::Malformed { stage, reason } => {
-                write!(f, "malformed checkpoint ({stage}): {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RestartError {}
-
-impl From<IoError> for RestartError {
-    fn from(e: IoError) -> Self {
-        RestartError::Io(e)
-    }
-}
-
-impl From<crate::epsilon::EpsilonError> for RestartError {
-    fn from(e: crate::epsilon::EpsilonError) -> Self {
-        RestartError::Epsilon(e)
-    }
-}
-
 /// Bookkeeping for one checkpointed invocation: monotonic file indices and
 /// the injected-kill countdown.
 struct CkptWriter {
@@ -150,7 +89,7 @@ struct CkptWriter {
 }
 
 impl CkptWriter {
-    fn write(&mut self, ckpt: &Checkpoint) -> Result<(), RestartError> {
+    fn write(&mut self, ckpt: &Checkpoint) -> Result<(), GwError> {
         let _s = bgw_trace::span!("workflow.checkpoint");
         let t = Instant::now();
         write_checkpoint(&self.policy.dir, self.next_index, ckpt)?;
@@ -159,7 +98,7 @@ impl CkptWriter {
         self.writes += 1;
         if let Some(limit) = self.policy.abort_after_writes {
             if self.writes >= limit {
-                return Err(RestartError::Aborted {
+                return Err(GwError::Aborted {
                     writes: self.writes,
                 });
             }
@@ -187,9 +126,9 @@ enum GppResume {
 
 /// A checkpoint matrix must match the G-sphere of the run resuming from
 /// it; anything else is residue from a different system or cutoff.
-fn check_square(m: &CMatrix, ng: usize, stage: &'static str) -> Result<(), RestartError> {
+fn check_square(m: &CMatrix, ng: usize, stage: &'static str) -> Result<(), GwError> {
     if m.nrows() != ng || m.ncols() != ng {
-        return Err(RestartError::Malformed {
+        return Err(GwError::Malformed {
             stage,
             reason: format!(
                 "matrix is {}x{}, this run needs {ng}x{ng}",
@@ -205,23 +144,19 @@ fn classify_gpp(
     found: Option<(u64, Checkpoint)>,
     ng: usize,
     n_chunks: usize,
-) -> Result<(GppResume, u64), RestartError> {
+) -> Result<(GppResume, u64), GwError> {
     let Some((idx, ck)) = found else {
         return Ok((GppResume::Fresh, 0));
     };
     let resume = match ck.stage {
         s if s == GwStage::ChiPartial as u64 => {
-            let acc = ck
-                .matrices
-                .into_iter()
-                .next()
-                .ok_or(RestartError::Malformed {
-                    stage: "chi",
-                    reason: "record carries no chi accumulator matrix".into(),
-                })?;
+            let acc = ck.matrices.into_iter().next().ok_or(GwError::Malformed {
+                stage: "chi",
+                reason: "record carries no chi accumulator matrix".into(),
+            })?;
             check_square(&acc, ng, "chi")?;
             if ck.step as usize > n_chunks {
-                return Err(RestartError::Malformed {
+                return Err(GwError::Malformed {
                     stage: "chi",
                     reason: format!(
                         "claims {} valence chunks accumulated, this run only has {n_chunks}",
@@ -235,36 +170,28 @@ fn classify_gpp(
             }
         }
         s if s == GwStage::EpsilonDone as u64 => {
-            let inv = ck
-                .matrices
-                .into_iter()
-                .next()
-                .ok_or(RestartError::Malformed {
-                    stage: "epsilon",
-                    reason: "record carries no inverse dielectric matrix".into(),
-                })?;
+            let inv = ck.matrices.into_iter().next().ok_or(GwError::Malformed {
+                stage: "epsilon",
+                reason: "record carries no inverse dielectric matrix".into(),
+            })?;
             check_square(&inv, ng, "epsilon")?;
             GppResume::Epsilon { inv }
         }
         s if s == GwStage::SigmaPartial as u64 => {
-            let inv = ck
-                .matrices
-                .into_iter()
-                .next()
-                .ok_or(RestartError::Malformed {
-                    stage: "sigma",
-                    reason: "record carries no inverse dielectric matrix".into(),
-                })?;
+            let inv = ck.matrices.into_iter().next().ok_or(GwError::Malformed {
+                stage: "sigma",
+                reason: "record carries no inverse dielectric matrix".into(),
+            })?;
             check_square(&inv, ng, "sigma")?;
             // meta = [n_grid, flops, sigma values band-major]
             if ck.meta.len() < 2 {
-                return Err(RestartError::Malformed {
+                return Err(GwError::Malformed {
                     stage: "sigma",
                     reason: format!("metadata has {} values, header needs 2", ck.meta.len()),
                 });
             }
             if !(0.0..=1e9).contains(&ck.meta[0]) || !(0.0..=f64::MAX).contains(&ck.meta[1]) {
-                return Err(RestartError::Malformed {
+                return Err(GwError::Malformed {
                     stage: "sigma",
                     reason: format!(
                         "nonsense header: n_grid = {}, flops = {}",
@@ -277,7 +204,7 @@ fn classify_gpp(
             let bands_done = ck.step as usize;
             let need = 2 + bands_done * n_grid.max(1);
             if ck.meta.len() < need {
-                return Err(RestartError::Malformed {
+                return Err(GwError::Malformed {
                     stage: "sigma",
                     reason: format!(
                         "sigma table truncated: {} bands x {n_grid} energies needs {} \
@@ -318,7 +245,7 @@ pub fn run_gpp_gw_checkpointed(
     system: &ModelSystem,
     cfg: &GwConfig,
     policy: &CheckpointPolicy,
-) -> Result<GwResults, RestartError> {
+) -> Result<GwResults, GwError> {
     let counters0 = bgw_perf::counters::snapshot();
     let mut timings = GwTimings::default();
     let p = prefix(system, cfg, &mut timings);
@@ -446,7 +373,7 @@ pub fn run_evgw_checkpointed(
     max_iter: usize,
     tol_ry: f64,
     policy: &CheckpointPolicy,
-) -> Result<EvGwResults, RestartError> {
+) -> Result<EvGwResults, GwError> {
     let (_, ctx) = screened_context(system, cfg, &mut GwTimings::default())?;
     let n_sigma = ctx.n_sigma();
 
@@ -459,7 +386,7 @@ pub fn run_evgw_checkpointed(
             // different band set or a half-rewritten record.
             let expect = n_sigma + ck.step as usize;
             if ck.meta.len() != expect {
-                return Err(RestartError::Malformed {
+                return Err(GwError::Malformed {
                     stage: "evgw",
                     reason: format!(
                         "iterate has {} meta values; step {} with {n_sigma} sigma bands \
@@ -471,7 +398,7 @@ pub fn run_evgw_checkpointed(
             }
             let e_qp = ck.meta[..n_sigma].to_vec();
             if e_qp.iter().any(|e| !e.is_finite()) {
-                return Err(RestartError::Malformed {
+                return Err(GwError::Malformed {
                     stage: "evgw",
                     reason: "resumed QP energies contain non-finite values".into(),
                 });

@@ -329,19 +329,9 @@ pub fn gpp_sigma_diag_partial(
 /// and split the `G'` summation; the partial sums are combined with the
 /// pool allreduce (the two-stage reduction of Sec. 5.5.1, item 5).
 /// Returns the full result on every rank, with this rank's partial
-/// `seconds`/`flops` preserved for load-balance accounting.
+/// `seconds`/`flops` preserved for load-balance accounting. Communicator
+/// faults surface as `Err` instead of panicking.
 pub fn gpp_sigma_diag_distributed(
-    comm: &bgw_comm::Comm,
-    ctx: &SigmaContext,
-    e_grids: &[Vec<f64>],
-) -> SigmaDiagResult {
-    try_gpp_sigma_diag_distributed(comm, ctx, e_grids).unwrap_or_else(|e| std::panic::panic_any(e))
-}
-
-/// Fallible [`gpp_sigma_diag_distributed`]: communicator faults surface as
-/// `Err` instead of panicking, so a resilient driver can shrink the
-/// communicator and retry the kernel on the survivors.
-pub fn try_gpp_sigma_diag_distributed(
     comm: &bgw_comm::Comm,
     ctx: &SigmaContext,
     e_grids: &[Vec<f64>],
@@ -491,7 +481,9 @@ mod tests {
         let grids: Vec<Vec<f64>> = ctx.sigma_energies.iter().map(|&e| vec![e]).collect();
         let full = gpp_sigma_diag(&ctx, &grids, KernelVariant::Reference);
         let (results, stats) = bgw_comm::run_world(3, |comm| {
-            gpp_sigma_diag_distributed(comm, &ctx, &grids).sigma
+            gpp_sigma_diag_distributed(comm, &ctx, &grids)
+                .expect("fault-free world")
+                .sigma
         });
         for r in &results {
             for (s, (rrow, frow)) in r.iter().zip(&full.sigma).enumerate() {

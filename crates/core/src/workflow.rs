@@ -389,27 +389,21 @@ mod tests {
         let oracle = run_gpp_gw(&sys, &slab);
         assert_ne!(oracle.eps_macro, run_gpp_gw(&sys, &bulk).eps_macro);
         let (ranks, _) = bgw_comm::run_world(2, |c| {
-            let stage = crate::resilient::run_gpp_gw_resilient(&sys, &slab, c).expect("resilient");
-            let dag = crate::resilient::run_gpp_gw_resilient_dag(&sys, &slab, c).expect("dag");
-            (stage, dag)
+            crate::resilient::run_gpp_gw_resilient(&sys, &slab, c).expect("resilient")
         });
-        for (stage, dag) in &ranks {
-            for (label, states, eps) in [
-                ("resilient", &stage.states, stage.eps_macro),
-                ("resilient dag", &dag.states, dag.eps_macro),
-            ] {
+        for r in &ranks {
+            assert!(
+                (r.eps_macro - oracle.eps_macro).abs() < 1e-10,
+                "resilient: eps_macro {}",
+                r.eps_macro
+            );
+            for (a, b) in r.states.iter().zip(&oracle.states) {
                 assert!(
-                    (eps - oracle.eps_macro).abs() < 1e-10,
-                    "{label}: eps_macro {eps}"
+                    (a.e_qp - b.e_qp).abs() < 1e-10,
+                    "resilient: QP {} vs {}",
+                    a.e_qp,
+                    b.e_qp
                 );
-                for (a, b) in states.iter().zip(&oracle.states) {
-                    assert!(
-                        (a.e_qp - b.e_qp).abs() < 1e-10,
-                        "{label}: QP {} vs {}",
-                        a.e_qp,
-                        b.e_qp
-                    );
-                }
             }
         }
         let dyson = run_full_dyson_gw(&sys, &slab, 8);

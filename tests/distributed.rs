@@ -29,7 +29,7 @@ fn distributed_chi_equals_serial_for_any_world_size() {
     for world in [1usize, 2, 5] {
         let (results, stats) = run_world(world, |comm| {
             let mtxel = Mtxel::new(&wfn, &eps);
-            chi_distributed(comm, &wf, &mtxel, cfg, &[0.0])[0]
+            chi_distributed(comm, &wf, &mtxel, cfg, &[0.0]).expect("fault-free world")[0]
                 .as_slice()
                 .to_vec()
         });
@@ -53,7 +53,7 @@ fn sigma_pool_decomposition_is_exact_and_balanced() {
     let grids: Vec<Vec<f64>> = ctx.sigma_energies.iter().map(|&e| vec![e]).collect();
     let serial = gpp_sigma_diag(&ctx, &grids, KernelVariant::Reference);
     let (results, _) = run_world(4, |comm| {
-        let r = gpp_sigma_diag_distributed(comm, &ctx, &grids);
+        let r = gpp_sigma_diag_distributed(comm, &ctx, &grids).expect("fault-free world");
         (r.sigma, r.flops)
     });
     let total_flops: u64 = results.iter().map(|(_, f)| f).sum();
@@ -89,7 +89,7 @@ fn pools_of_pools_nested_split() {
         sub.sigma_bands = my_bands.iter().map(|&s| ctx.sigma_bands[s]).collect();
         sub.sigma_energies = my_bands.iter().map(|&s| ctx.sigma_energies[s]).collect();
         let sub_grids: Vec<Vec<f64>> = my_bands.iter().map(|&s| grids[s].clone()).collect();
-        let r = gpp_sigma_diag_distributed(&pool, &sub, &sub_grids);
+        let r = gpp_sigma_diag_distributed(&pool, &sub, &sub_grids).expect("fault-free world");
         (my_bands, r.sigma)
     });
     for (bands, sigma) in &results {
@@ -119,7 +119,7 @@ fn communication_volume_scales_with_matrix_size() {
         let n_g = eps.len();
         let (_, stats) = run_world(2, |comm| {
             let mtxel = Mtxel::new(&wfn, &eps);
-            let _ = chi_distributed(comm, &wf, &mtxel, cfg, &[0.0]);
+            chi_distributed(comm, &wf, &mtxel, cfg, &[0.0]).expect("fault-free world");
         });
         volumes.push((n_g, stats[0].bytes_sent));
     }

@@ -6,13 +6,13 @@
 use berkeleygw_rs::core::chi::{ChiConfig, ChiEngine, ChiTimings};
 use berkeleygw_rs::core::mtxel::Mtxel;
 use berkeleygw_rs::core::restart::{
-    run_evgw_checkpointed, run_gpp_gw_checkpointed, CheckpointPolicy, RestartError,
+    run_evgw_checkpointed, run_gpp_gw_checkpointed, CheckpointPolicy,
 };
 use berkeleygw_rs::core::sigma::fullfreq::ff_sigma_diag_subspace;
 use berkeleygw_rs::core::subspace::{symmetrize, Subspace};
 use berkeleygw_rs::core::testkit;
 use berkeleygw_rs::core::workflow::{run_evgw, run_gpp_gw, GwConfig, GwResults};
-use berkeleygw_rs::core::EpsilonInverse;
+use berkeleygw_rs::core::{EpsilonInverse, GwError};
 use berkeleygw_rs::io::{read_checkpoint_file, write_checkpoint, Checkpoint};
 use berkeleygw_rs::linalg::CMatrix;
 use berkeleygw_rs::pwdft::{si_bulk, ModelSystem};
@@ -71,7 +71,7 @@ fn checkpointed_gpp_matches_plain_driver_and_restarts_cleanly() {
             abort_after_writes: Some(kill_after),
         };
         match run_gpp_gw_checkpointed(&sys, &cfg, &killer) {
-            Err(RestartError::Aborted { writes }) => assert_eq!(writes, kill_after),
+            Err(GwError::Aborted { writes }) => assert_eq!(writes, kill_after),
             other => panic!("kill switch did not fire: {other:?}"),
         }
         let resumed = run_gpp_gw_checkpointed(&sys, &cfg, &CheckpointPolicy::new(&dir)).unwrap();
@@ -136,7 +136,7 @@ fn evgw_restart_matches_uninterrupted() {
         abort_after_writes: Some(2),
     };
     match run_evgw_checkpointed(&sys, &cfg, 40, 1e-5, &killer) {
-        Err(RestartError::Aborted { writes }) => assert_eq!(writes, 2),
+        Err(GwError::Aborted { writes }) => assert_eq!(writes, 2),
         other => panic!("kill switch did not fire: {other:?}"),
     }
     let resumed =
@@ -155,7 +155,7 @@ fn malformed_gpp_checkpoints_are_typed_errors_not_panics() {
     // Records that decode cleanly (checksums pass) but whose payload does
     // not fit this run — missing matrices, wrong G-sphere, truncated sigma
     // tables, impossible step counts — must surface as
-    // RestartError::Malformed, never as an index-out-of-bounds panic.
+    // GwError::Malformed, never as an index-out-of-bounds panic.
     let sys = small_system();
     let cfg = GwConfig::default();
     // Learn the run's actual G-sphere size from a real checkpoint, so the
@@ -233,7 +233,7 @@ fn malformed_gpp_checkpoints_are_typed_errors_not_panics() {
         let dir = tmpdir("gpp_malformed");
         write_checkpoint(&dir, 0, &ck).unwrap();
         match run_gpp_gw_checkpointed(&sys, &cfg, &CheckpointPolicy::new(&dir)) {
-            Err(RestartError::Malformed { stage, reason }) => {
+            Err(GwError::Malformed { stage, reason }) => {
                 assert!(!reason.is_empty(), "{label}: empty reason");
                 assert!(
                     ["chi", "epsilon", "sigma"].contains(&stage),
@@ -267,7 +267,7 @@ fn malformed_evgw_iterate_is_a_typed_error() {
     )
     .unwrap();
     match run_evgw_checkpointed(&sys, &cfg, 10, 1e-5, &CheckpointPolicy::new(&dir)) {
-        Err(RestartError::Malformed { stage: "evgw", .. }) => {}
+        Err(GwError::Malformed { stage: "evgw", .. }) => {}
         other => panic!("short evGW meta: expected Malformed, got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -295,7 +295,7 @@ fn malformed_evgw_iterate_is_a_typed_error() {
     )
     .unwrap();
     match run_evgw_checkpointed(&sys, &cfg, 10, 1e-5, &CheckpointPolicy::new(&dir)) {
-        Err(RestartError::Malformed {
+        Err(GwError::Malformed {
             stage: "evgw",
             reason,
         }) => {

@@ -6,7 +6,8 @@
 #
 # Usage:
 #   tools/check.sh            full gate (build, tests at the default and at
-#                             BGW_THREADS=1/2/4, fmt, clippy, smokes)
+#                             BGW_THREADS=1/2/4, gwbench build + self-tests,
+#                             fmt, clippy, smokes)
 #   tools/check.sh --faults   fault-injection smoke only (builds the bin
 #                             first if needed)
 #   tools/check.sh --trace    traced-GPP smoke only: span tree + run
@@ -58,12 +59,12 @@ export CARGO_NET_OFFLINE=true
 
 run_faults_smoke() {
     echo "==> faults smoke: canned crash/transient/corruption plans (QP gate 1e-10)"
-    # Three canned FaultPlans against the resilient distributed pipeline:
+    # Three canned FaultPlans against the fault-tolerant distributed driver:
     # a rank crash (survivors must shrink and match the fault-free QP
     # energies to 1e-10), transient send failures (retried in place), and
     # a corrupted collective payload (retransmitted). A watchdog turns a
-    # hang into exit 2, and a /proc thread count gate fails on leaked
-    # worker threads.
+    # hang into exit 2, and a /proc thread count gate (baseline read after
+    # the persistent worker pool has spawned) fails on leaked threads.
     ./target/release/faults_smoke
 }
 
@@ -228,6 +229,14 @@ for threads in 1 2 4; do
     echo "==> BGW_THREADS=$threads cargo test -q --workspace"
     BGW_THREADS=$threads cargo test -q --workspace
 done
+
+# gwbench is a package of its own (BENCHMARK.json runs it), so the
+# workspace build above never compiles it: build and self-test it here so
+# a public API change in the library crates cannot silently break the
+# benchmark. Its own target dir keeps the gwbench/ tree clean.
+echo "==> gwbench: cargo build --release + cargo test --release"
+CARGO_TARGET_DIR=target/gwbench cargo build --release --manifest-path gwbench/Cargo.toml
+CARGO_TARGET_DIR=target/gwbench cargo test --release -q --manifest-path gwbench/Cargo.toml
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
