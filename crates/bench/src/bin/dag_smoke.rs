@@ -1,37 +1,22 @@
-//! Task-DAG CI gate (`tools/check.sh --dag`).
+//! Task-DAG CI gate (`tools/check.sh --dag`): task-granular recovery.
 //!
-//! Three hard gates, any failure exits nonzero:
-//!
-//! 1. **Parity** — the DAG-scheduled workflow must reproduce the
-//!    barrier-ordered oracle to 1e-12 on every QP energy, both gaps, and
-//!    eps_macro, with *exactly* equal counted Sigma FLOPs.
-//! 2. **Strong scaling (Fig. 6 slice)** — barrier vs DAG wall clock at
-//!    1/2/4 workers on one Si shape: the DAG path must never regress the
-//!    spine (<= 1.5x barrier at every width) and must beat the barrier
-//!    path at the widest width (readiness-driven execution replaces one
-//!    pool dispatch per phase with one graph execution). The DAG
-//!    self-scaling gate (4 workers <= 0.8x serial) only arms on hosts
-//!    with >= 4 cores — on fewer, "workers" are time slices of the same
-//!    core and no schedule can make them faster, so the gate is skipped
-//!    with a notice (numbers are still recorded).
-//! 3. **Task-granular recovery** — under a rank crash at world size 4,
-//!    the fault-tolerant distributed driver must re-enqueue exactly the
-//!    dead rank's orphaned tasks, reproduce the fault-free QP energies to
-//!    1e-10, and recompute a strict subset of the CHI stage (fewer than
-//!    its `nv` tasks).
+//! Under a rank crash at world size 4, the fault-tolerant distributed
+//! driver must re-enqueue exactly the dead rank's orphaned tasks,
+//! reproduce the fault-free QP energies to 1e-10, and recompute a strict
+//! subset of the CHI stage (fewer than its `nv` tasks). Any failure exits
+//! nonzero.
 //!
 //! A watchdog aborts with exit 2 on a hang; worker threads must return to
 //! baseline. Writes `BENCH_task_dag.json` into the current directory.
 
 use bgw_comm::{try_run_world, CommError, FaultPlan, WorldReport};
-use bgw_core::workflow::{run_gpp_gw, GwConfig};
-use bgw_core::{run_gpp_gw_dag, run_gpp_gw_resilient, GwError, ResilientGwReport};
+use bgw_core::workflow::GwConfig;
+use bgw_core::{run_gpp_gw_resilient, GwError, ResilientGwReport};
 use bgw_pwdft::{si_bulk, ModelSystem};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 const WORLD: usize = 4;
-const PARITY_TOL: f64 = 1e-12;
 const RECOVERY_TOL: f64 = 1e-10;
 const WATCHDOG_SECS: u64 = 300;
 
@@ -51,31 +36,6 @@ fn thread_count() -> usize {
 fn fail(msg: &str) -> ! {
     eprintln!("FAIL: {msg}");
     std::process::exit(1);
-}
-
-fn parity_system() -> ModelSystem {
-    let mut sys = si_bulk(1, 2.2);
-    sys.n_bands = 28;
-    sys
-}
-
-/// One Si shape where the task-decomposed stages (CHI blocks, Sigma
-/// bands) dominate the serial spine (mean field, FFT cache): a large
-/// epsilon sphere relative to the wavefunction cutoff, and a wide Sigma
-/// window. Sub-second per run, so the 3-width sweep stays a smoke stage.
-fn scaling_setup() -> (ModelSystem, GwConfig) {
-    let mut sys = si_bulk(1, 4.5);
-    sys.n_bands = 140;
-    sys.ecut_eps_ry = 4.0;
-    let cfg = GwConfig {
-        bands_around_gap: 8,
-        chi: bgw_core::ChiConfig {
-            nv_block: 2,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    (sys, cfg)
 }
 
 fn recovery_system() -> ModelSystem {
@@ -105,108 +65,14 @@ fn main() {
     });
     let t_start = Instant::now();
 
-    // Gate 1: parity against the barrier-ordered oracle.
-    let sys = parity_system();
-    let cfg = GwConfig::default();
-    let oracle = run_gpp_gw(&sys, &cfg);
-    let dag = run_gpp_gw_dag(&sys, &cfg).expect("dag run succeeds");
-    let r = &dag.results;
-    if r.sigma_flops != oracle.sigma_flops {
-        fail(&format!(
-            "parity: FLOP count diverged {} vs {}",
-            r.sigma_flops, oracle.sigma_flops
-        ));
-    }
-    let mut worst: f64 = (r.gap_qp_ry - oracle.gap_qp_ry)
-        .abs()
-        .max((r.eps_macro - oracle.eps_macro).abs());
-    for (a, b) in r.states.iter().zip(&oracle.states) {
-        worst = worst.max((a.e_qp - b.e_qp).abs()).max((a.z - b.z).abs());
-    }
-    if worst >= PARITY_TOL {
-        fail(&format!("parity: drift {worst:.3e} >= {PARITY_TOL:.0e}"));
-    }
-    println!(
-        "parity   : {} tasks, worst drift {worst:.3e} (gate {PARITY_TOL:.0e}), FLOPs exact",
-        dag.stats.tasks
-    );
-
-    // Gate 2: barrier-vs-DAG strong scaling (Fig. 6 slice).
-    let (sys, scaling_cfg) = scaling_setup();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let best_of = |reps: usize, f: &dyn Fn()| -> f64 {
-        (0..reps)
-            .map(|_| {
-                let t = Instant::now();
-                f();
-                t.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let mut rows = Vec::new();
-    let mut dag_serial = 0.0f64;
-    let mut dag_widest = 0.0f64;
-    let mut barrier_widest = 0.0f64;
-    for &threads in &[1usize, 2, 4] {
-        bgw_par::set_num_threads(threads);
-        let barrier_s = best_of(2, &|| {
-            std::hint::black_box(run_gpp_gw(&sys, &scaling_cfg));
-        });
-        let dag_s = best_of(2, &|| {
-            std::hint::black_box(run_gpp_gw_dag(&sys, &scaling_cfg).expect("dag run succeeds"));
-        });
-        let stats = run_gpp_gw_dag(&sys, &scaling_cfg)
-            .expect("dag run succeeds")
-            .stats;
-        bgw_par::set_num_threads(0);
-        if threads == 1 {
-            dag_serial = dag_s;
-        }
-        dag_widest = dag_s;
-        barrier_widest = barrier_s;
-        if dag_s > barrier_s * 1.5 {
-            fail(&format!(
-                "scaling: DAG {dag_s:.3}s vs barrier {barrier_s:.3}s at {threads} workers \
-                 (> 1.5x regression gate)"
-            ));
-        }
-        println!(
-            "scaling  : {threads} workers: barrier {barrier_s:.3}s, DAG {dag_s:.3}s \
-             ({} tasks, {} steals)",
-            stats.tasks, stats.steals
-        );
-        rows.push(format!(
-            "    {{\"threads\": {threads}, \"barrier_s\": {barrier_s:.3}, \"dag_s\": {dag_s:.3}, \
-             \"dag_speedup_vs_serial\": {:.3}}}",
-            dag_serial / dag_s
-        ));
-    }
-    if dag_widest > barrier_widest {
-        fail(&format!(
-            "scaling: DAG {dag_widest:.3}s lost to the barrier spine {barrier_widest:.3}s at the \
-             widest width"
-        ));
-    }
-    if cores >= 4 {
-        if dag_widest > dag_serial * 0.8 {
-            fail(&format!(
-                "scaling: DAG did not scale — 4 workers {dag_widest:.3}s vs serial \
-                 {dag_serial:.3}s (gate <= 0.8x on a {cores}-core host)"
-            ));
-        }
-    } else {
-        println!(
-            "NOTICE: {cores}-core host — workers time-slice one core, skipping the DAG \
-             self-scaling gate (serial {dag_serial:.3}s, widest {dag_widest:.3}s recorded)"
-        );
-    }
-
-    // Leak baseline AFTER the scaling sweep: the worker pool is a
-    // persistent singleton by design, so the gate must only catch leaked
-    // world-rank threads from the recovery scenarios below.
+    // The worker pool is a persistent singleton whose threads never exit
+    // by design: spawn all of them with one full-width region before the
+    // baseline, so the gate only catches leaked world-rank threads.
+    bgw_par::parallel_for_chunked(bgw_par::num_threads(), 1, |_, _| {});
     let threads_baseline = thread_count();
 
-    // Gate 3: task-granular recovery under a rank crash.
+    // Task-granular recovery under a rank crash.
     let free = dag_world(FaultPlan::none());
     if !free.all_ok() {
         fail(&format!(
@@ -290,17 +156,11 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"parity\": {{\"tasks\": {}, \"worst_abs_drift\": {worst:.3e}, \
-         \"flops_exact\": true, \"tol\": 1e-12}},\n  \
-         \"host\": {{\"cores\": {cores}, \"self_scaling_gate_armed\": {}}},\n  \
-         \"scaling\": [\n{}\n  ],\n  \
+        "{{\n  \"host\": {{\"cores\": {cores}}},\n  \
          \"recovery\": {{\n    \"world\": {WORLD},\n    \"tasks_total\": {tasks_total},\n    \
          \"chi_tasks\": {nv},\n    \"tasks_reenqueued\": {reenqueued_total},\n    \
          \"reenqueued_fraction_of_chi_stage\": {reenq_fraction:.3},\n    \
          \"dag_recovered_wall_s\": {dag_wall:.3},\n    \"qp_tol\": 1e-10\n  }}\n}}\n",
-        dag.stats.tasks,
-        cores >= 4,
-        rows.join(",\n"),
     );
     std::fs::write("BENCH_task_dag.json", &json).expect("write BENCH_task_dag.json");
     println!("wrote BENCH_task_dag.json");

@@ -25,12 +25,9 @@ use bgw_bench::{build_setup, timed, BenchSetup};
 use bgw_core::chi::{ChiConfig, ChiEngine};
 use bgw_core::epsilon::{EpsilonError, EpsilonInverse};
 use bgw_core::mtxel::Mtxel;
-use bgw_core::sigma::fullfreq::{
-    ff_sigma_diag, ff_sigma_diag_serial, ff_sigma_diag_subspace, ff_sigma_diag_subspace_serial,
-    SigmaFfResult,
-};
+use bgw_core::sigma::fullfreq::{ff_sigma_diag, ff_sigma_diag_subspace, SigmaFfResult};
 use bgw_core::subspace::Subspace;
-use bgw_core::testkit;
+use bgw_core::testkit::{self, ff_sigma_diag_serial, ff_sigma_diag_subspace_serial};
 use bgw_linalg::CMatrix;
 use bgw_num::c64;
 use bgw_num::grid::semi_infinite_quadrature;

@@ -11,7 +11,21 @@
 //!
 //! Frequencies reuse the same `M` panels: the zero-frequency pass (CHI-0)
 //! and the finite-frequency passes (CHI-Freq) differ only in the energy
-//! denominator `Delta_vc(omega)`.
+//! denominator `Delta_vc(omega)`, so one pass over the blocks serves every
+//! requested frequency.
+//!
+//! The block loop is overdecomposed in the OpenAtom manner
+//! (arXiv:1810.07772) without leaving this one code path: each block's
+//! MTXEL panel (FFTs, pair products, k.p head, subspace projection) is an
+//! independent unit of work, so a window of `bgw_par::num_threads()`
+//! panels builds concurrently, one per worker, and the panels are then
+//! contracted (Delta scaling, ZGEMM with `beta = 1` into the per-frequency
+//! accumulators) on the calling thread in block order. The result is the
+//! serial loop's bit for bit at every pool width, the window keeps the
+//! NV-Block memory bound, and the contraction GEMMs keep the whole pool.
+//! Every dense chi caller — the GW drivers, the screening builder behind
+//! `bgw-serve`, the full-frequency, imaginary axis and subspace builds —
+//! runs through this one loop.
 
 use crate::epsilon::is_static_freq;
 use crate::mtxel::Mtxel;
@@ -47,7 +61,9 @@ impl Default for ChiConfig {
 }
 
 /// Timing/work breakdown of one polarizability build, keyed to the kernel
-/// names of paper Fig. 3.
+/// names of paper Fig. 3. The seconds are cumulative over NV blocks:
+/// the panels of one window build concurrently, so `t_mtxel` counts each
+/// worker's seconds and the sum can exceed the build's wall clock.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ChiTimings {
     /// Seconds in the MTXEL kernel (FFT matrix elements).
@@ -58,6 +74,15 @@ pub struct ChiTimings {
     pub t_chifreq: f64,
     /// ZGEMM FLOPs executed.
     pub flops: u64,
+}
+
+impl ChiTimings {
+    fn add(&mut self, o: &ChiTimings) {
+        self.t_mtxel += o.t_mtxel;
+        self.t_chi0 += o.t_chi0;
+        self.t_chifreq += o.t_chifreq;
+        self.flops += o.flops;
+    }
 }
 
 /// The energy factor `Delta_vc(omega)` of Eq. 4 (time-ordered RPA with
@@ -121,22 +146,117 @@ impl<'a> ChiEngine<'a> {
     /// Builds the `M` panel for valence bands `v0..v1`: row `(v - v0) * N_c
     /// + c` holds `M_vc^G` over the output sphere.
     pub fn m_panel(&self, v0: usize, v1: usize) -> CMatrix {
+        let bands: Vec<usize> = (v0..v1).collect();
+        self.panel(&bands, None, &mut ChiTimings::default())
+    }
+
+    /// The MTXEL panel of one NV block: row `i * N_c + c` holds
+    /// `M_{bands[i] c}`, the valence bands transformed in one batch. With
+    /// a subspace `(basis, vsqrt)` the rows are symmetrized and projected
+    /// onto the basis (the Transf-like step folded into CHI-Freq).
+    fn panel(
+        &self,
+        bands: &[usize],
+        proj: Option<(&CMatrix, &[f64])>,
+        timings: &mut ChiTimings,
+    ) -> CMatrix {
+        let t0 = Instant::now();
         let nc = self.wf.n_conduction();
         let ng = self.n_g();
-        let mut panel = CMatrix::zeros((v1 - v0) * nc, ng);
-        let bands: Vec<usize> = (v0..v1).collect();
-        let val_real = self.mtxel.to_real_space_many(self.wf, &bands);
-        for v in v0..v1 {
-            let psi_v = &val_real[v - v0];
+        let mut panel = CMatrix::zeros(bands.len() * nc, ng);
+        let val_real = self.mtxel.to_real_space_many(self.wf, bands);
+        for (i, &v) in bands.iter().enumerate() {
             for c in 0..nc {
-                let mut row = self.mtxel.pair_from_real(psi_v, &self.cond_real[c]);
+                let mut row = self.mtxel.pair_from_real(&val_real[i], &self.cond_real[c]);
                 row[0] = self
                     .mtxel
                     .head_kp(self.wf, v, self.wf.n_valence + c, self.cfg.q0);
-                panel.row_mut((v - v0) * nc + c).copy_from_slice(&row);
+                if let Some((_, vsqrt)) = proj {
+                    // Symmetrize before projecting (Eq. 6 subspace).
+                    for (g, x) in row.iter_mut().enumerate() {
+                        *x = x.scale(vsqrt[g]);
+                    }
+                }
+                panel.row_mut(i * nc + c).copy_from_slice(&row);
             }
         }
-        panel
+        timings.t_mtxel += t0.elapsed().as_secs_f64();
+        match proj {
+            Some((basis, _)) => {
+                let t1 = Instant::now();
+                let projected =
+                    bgw_linalg::matmul(&panel, Op::None, basis, Op::None, self.cfg.backend);
+                timings.flops += bgw_linalg::zgemm_flops(panel.nrows(), ng, basis.ncols());
+                timings.t_chifreq += t1.elapsed().as_secs_f64();
+                projected
+            }
+            None => panel,
+        }
+    }
+
+    /// The contraction of one NV block: for every frequency, scales
+    /// the panel rows by `Delta_vc` and accumulates `2 M^dagger (Delta M)`
+    /// into `chis` (ZGEMM with `beta = 1`).
+    fn contract(
+        &self,
+        panel: &CMatrix,
+        bands: &[usize],
+        freqs: &[f64],
+        axis: FreqAxis,
+        chis: &mut [CMatrix],
+        timings: &mut ChiTimings,
+    ) {
+        let nc = self.wf.n_conduction();
+        let n_out = panel.ncols();
+        // One scratch buffer per NV block, reused by every frequency.
+        let mut scaled = CMatrix::zeros(panel.nrows(), n_out);
+        let mut deltas = vec![Complex64::ZERO; panel.nrows()];
+        for (chi, &freq) in chis.iter_mut().zip(freqs) {
+            let t1 = Instant::now();
+            for (i, &v) in bands.iter().enumerate() {
+                let e_v = self.wf.energies[v];
+                for c in 0..nc {
+                    let e_c = self.wf.energies[self.wf.n_valence + c];
+                    deltas[i * nc + c] = match axis {
+                        FreqAxis::Real => {
+                            let eta = if is_static_freq(freq) {
+                                0.0
+                            } else {
+                                self.cfg.eta_ry
+                            };
+                            delta_vc(e_v, e_c, freq, eta)
+                        }
+                        FreqAxis::Imag => c64(delta_vc_imag(e_v, e_c, freq), 0.0),
+                    };
+                }
+            }
+            // scaled = Delta * M: fused copy + row scaling on the pool.
+            let src = panel.as_slice();
+            bgw_par::parallel_rows(scaled.as_mut_slice(), n_out, |r, row| {
+                let d = deltas[r];
+                for (z, &p) in row.iter_mut().zip(&src[r * n_out..(r + 1) * n_out]) {
+                    *z = p * d;
+                }
+            });
+            // chi += 2 M^dagger scaled
+            zgemm(
+                c64(2.0, 0.0),
+                panel,
+                Op::Adj,
+                &scaled,
+                Op::None,
+                Complex64::ONE,
+                chi,
+                self.cfg.backend,
+            );
+            timings.flops += bgw_linalg::zgemm_flops(n_out, panel.nrows(), n_out);
+            let dt = t1.elapsed().as_secs_f64();
+            if matches!(axis, FreqAxis::Real) && is_static_freq(freq) {
+                timings.t_chi0 += dt;
+            } else {
+                timings.t_chifreq += dt;
+            }
+        }
     }
 
     /// Computes `chi(omega_i)` for every requested frequency (Ry), using
@@ -162,8 +282,18 @@ impl<'a> ChiEngine<'a> {
         self.chi_freqs_core(us, FreqAxis::Imag, None, None, timings)
     }
 
-    /// Shared NV-block loop behind every dense chi build: real or
-    /// imaginary axis, full plane-wave or subspace-projected output.
+    /// The NV-block loop behind every dense chi build (real or imaginary
+    /// axis, full plane-wave or subspace-projected output), run in windows
+    /// of `W = bgw_par::num_threads()` blocks.
+    ///
+    /// * One pool region builds the window's [`panel`](Self::panel)s, one
+    ///   block per worker, so at most `W` panels are alive at once — the
+    ///   NV-Block memory bound. A window of one block runs on the calling
+    ///   thread, where its FFTs stay pool-parallel.
+    /// * The calling thread then [`contract`](Self::contract)s the panels
+    ///   in block order, so every accumulator sees the blocks in the same
+    ///   order as a serial loop (bitwise independent of the pool width)
+    ///   and every contraction ZGEMM runs on the whole pool.
     fn chi_freqs_core(
         &self,
         freqs: &[f64],
@@ -172,9 +302,7 @@ impl<'a> ChiEngine<'a> {
         proj: Option<(&CMatrix, &[f64])>,
         timings: &mut ChiTimings,
     ) -> Vec<CMatrix> {
-        let ng = self.n_g();
-        let nc = self.wf.n_conduction();
-        let n_out = proj.map_or(ng, |(basis, _)| basis.ncols());
+        let n_out = proj.map_or(self.n_g(), |(basis, _)| basis.ncols());
         let all: Vec<usize>;
         let vs: &[usize] = match valence_subset {
             Some(v) => v,
@@ -183,94 +311,16 @@ impl<'a> ChiEngine<'a> {
                 &all
             }
         };
+        let blocks: Vec<&[usize]> = vs.chunks(self.cfg.nv_block.max(1)).collect();
         let mut chis = vec![CMatrix::zeros(n_out, n_out); freqs.len()];
-        // NV blocks over the subset.
-        for chunk in vs.chunks(self.cfg.nv_block.max(1)) {
-            let t0 = Instant::now();
-            // Build this block's M panel (rows: (idx within chunk, c)),
-            // transforming the whole block of valence bands in one batch.
-            let mut panel = CMatrix::zeros(chunk.len() * nc, ng);
-            let val_real = self.mtxel.to_real_space_many(self.wf, chunk);
-            for (i, &v) in chunk.iter().enumerate() {
-                let psi_v = &val_real[i];
-                for c in 0..nc {
-                    let mut row = self.mtxel.pair_from_real(psi_v, &self.cond_real[c]);
-                    row[0] = self
-                        .mtxel
-                        .head_kp(self.wf, v, self.wf.n_valence + c, self.cfg.q0);
-                    if let Some((_, vsqrt)) = proj {
-                        // Symmetrize before projecting (Eq. 6 subspace).
-                        for (g, x) in row.iter_mut().enumerate() {
-                            *x = x.scale(vsqrt[g]);
-                        }
-                    }
-                    panel.row_mut(i * nc + c).copy_from_slice(&row);
-                }
-            }
-            timings.t_mtxel += t0.elapsed().as_secs_f64();
-            // Projection (the Transf-like step folded into CHI-Freq).
-            let panel = match proj {
-                Some((basis, _)) => {
-                    let t1 = Instant::now();
-                    let projected =
-                        bgw_linalg::matmul(&panel, Op::None, basis, Op::None, self.cfg.backend);
-                    timings.flops += bgw_linalg::zgemm_flops(panel.nrows(), ng, n_out);
-                    timings.t_chifreq += t1.elapsed().as_secs_f64();
-                    projected
-                }
-                None => panel,
-            };
-
-            // One scratch buffer per NV block, reused by every frequency
-            // (the per-frequency `panel.clone()` used to dominate the
-            // CHI-Freq allocation traffic).
-            let mut scaled = CMatrix::zeros(panel.nrows(), n_out);
-            let mut deltas = vec![Complex64::ZERO; panel.nrows()];
-            for (wi, &freq) in freqs.iter().enumerate() {
-                let t1 = Instant::now();
-                for (i, &v) in chunk.iter().enumerate() {
-                    let e_v = self.wf.energies[v];
-                    for c in 0..nc {
-                        let e_c = self.wf.energies[self.wf.n_valence + c];
-                        deltas[i * nc + c] = match axis {
-                            FreqAxis::Real => {
-                                let eta = if is_static_freq(freq) {
-                                    0.0
-                                } else {
-                                    self.cfg.eta_ry
-                                };
-                                delta_vc(e_v, e_c, freq, eta)
-                            }
-                            FreqAxis::Imag => c64(delta_vc_imag(e_v, e_c, freq), 0.0),
-                        };
-                    }
-                }
-                // scaled = Delta * M: fused copy + row scaling on the pool.
-                let src = panel.as_slice();
-                bgw_par::parallel_rows(scaled.as_mut_slice(), n_out, |r, row| {
-                    let d = deltas[r];
-                    for (z, &p) in row.iter_mut().zip(&src[r * n_out..(r + 1) * n_out]) {
-                        *z = p * d;
-                    }
-                });
-                // chi += 2 M^dagger scaled
-                zgemm(
-                    c64(2.0, 0.0),
-                    &panel,
-                    Op::Adj,
-                    &scaled,
-                    Op::None,
-                    Complex64::ONE,
-                    &mut chis[wi],
-                    self.cfg.backend,
-                );
-                timings.flops += bgw_linalg::zgemm_flops(n_out, panel.nrows(), n_out);
-                let dt = t1.elapsed().as_secs_f64();
-                if matches!(axis, FreqAxis::Real) && is_static_freq(freq) {
-                    timings.t_chi0 += dt;
-                } else {
-                    timings.t_chifreq += dt;
-                }
+        for window in blocks.chunks(bgw_par::num_threads().max(1)) {
+            let mut panels = vec![(CMatrix::zeros(0, 0), ChiTimings::default()); window.len()];
+            bgw_par::parallel_fill(&mut panels, |i, (panel, t)| {
+                *panel = self.panel(window[i], proj, t);
+            });
+            for (&bands, (panel, t)) in window.iter().zip(panels) {
+                timings.add(&t);
+                self.contract(&panel, bands, freqs, axis, &mut chis, timings);
             }
         }
         chis
@@ -315,9 +365,7 @@ impl<'a> ChiEngine<'a> {
 
     /// The NV-block boundaries `(v0, v1)` the chi builds iterate, in
     /// order: contiguous `cfg.nv_block`-sized ranges covering the valence
-    /// bands (the last block may be short). These are the natural task
-    /// boundaries of the DAG-scheduled workflow — one
-    /// [`chi_block_freqs`](Self::chi_block_freqs) call per entry.
+    /// bands (the last block may be short).
     pub fn nv_blocks(&self) -> Vec<(usize, usize)> {
         let nvb = self.cfg.nv_block.max(1);
         (0..self.wf.n_valence)
@@ -333,53 +381,17 @@ impl<'a> ChiEngine<'a> {
     /// [`chi_freqs`](Self::chi_freqs) up to summation order (the NV-Block
     /// algorithm is exactly block-decomposable).
     ///
-    /// This is the per-(block, frequency) task body of the DAG-scheduled
-    /// workflow: each block builds its `M` panel once and reuses it for
-    /// every frequency, exactly like the barrier-ordered loop.
+    /// This is the per-band task body of the fault-tolerant distributed
+    /// driver: the same panel and contraction bodies as the block loop of
+    /// [`chi_freqs`](Self::chi_freqs), into fresh accumulators.
     pub fn chi_block_freqs(&self, v0: usize, v1: usize, omegas: &[f64]) -> Vec<CMatrix> {
         assert!(v0 <= v1 && v1 <= self.wf.n_valence, "block out of range");
         let ng = self.n_g();
-        let nc = self.wf.n_conduction();
-        let panel = self.m_panel(v0, v1);
-        let mut scaled = CMatrix::zeros(panel.nrows(), ng);
-        let mut deltas = vec![Complex64::ZERO; panel.nrows()];
-        let mut out = Vec::with_capacity(omegas.len());
-        for &omega in omegas {
-            let eta = if is_static_freq(omega) {
-                0.0
-            } else {
-                self.cfg.eta_ry
-            };
-            for (i, v) in (v0..v1).enumerate() {
-                for c in 0..nc {
-                    deltas[i * nc + c] = delta_vc(
-                        self.wf.energies[v],
-                        self.wf.energies[self.wf.n_valence + c],
-                        omega,
-                        eta,
-                    );
-                }
-            }
-            let src = panel.as_slice();
-            bgw_par::parallel_rows(scaled.as_mut_slice(), ng, |r, row| {
-                let d = deltas[r];
-                for (z, &p) in row.iter_mut().zip(&src[r * ng..(r + 1) * ng]) {
-                    *z = p * d;
-                }
-            });
-            let mut chi_b = CMatrix::zeros(ng, ng);
-            zgemm(
-                c64(2.0, 0.0),
-                &panel,
-                Op::Adj,
-                &scaled,
-                Op::None,
-                Complex64::ZERO,
-                &mut chi_b,
-                self.cfg.backend,
-            );
-            out.push(chi_b);
-        }
+        let bands: Vec<usize> = (v0..v1).collect();
+        let mut out = vec![CMatrix::zeros(ng, ng); omegas.len()];
+        let mut t = ChiTimings::default();
+        let panel = self.panel(&bands, None, &mut t);
+        self.contract(&panel, &bands, omegas, FreqAxis::Real, &mut out, &mut t);
         out
     }
 
@@ -534,9 +546,9 @@ mod tests {
 
     #[test]
     fn block_contributions_sum_to_full_chi() {
-        // The DAG task decomposition: per-block contributions summed in
-        // block order must reproduce the barrier-ordered build to
-        // summation-reassociation accuracy at every frequency.
+        // The distributed driver's task decomposition: per-block
+        // contributions summed in block order must reproduce `chi_freqs`
+        // to summation-reassociation accuracy at every frequency.
         let (wfn, eps, wf) = setup();
         let mtxel = Mtxel::new(&wfn, &eps);
         let engine = ChiEngine::new(&wf, &mtxel, ChiConfig::default());
@@ -557,6 +569,52 @@ mod tests {
             let d = summed[wi].max_abs_diff(chi);
             assert!(d < 1e-12, "freq {wi}: block sum drifted by {d}");
         }
+    }
+
+    #[test]
+    fn nv_block_windows_are_bitwise_invariant_under_pool_width() {
+        // Six NV blocks, the last one short: windows of concurrently built
+        // panels contracted in block order must give every dense chi build
+        // the same bits at any pool width (2 and 4 split the blocks into
+        // full and partial windows).
+        let (wfn, eps, wf) = setup();
+        let mtxel = Mtxel::new(&wfn, &eps);
+        let cfg = ChiConfig {
+            nv_block: 3,
+            ..ChiConfig::default()
+        };
+        let engine = ChiEngine::new(&wf, &mtxel, cfg);
+        let blocks = engine.nv_blocks();
+        assert_eq!(blocks.len(), 6);
+        assert_eq!(blocks.last(), Some(&(15, 16)));
+        let vsqrt = crate::coulomb::Coulomb::bulk_for_cell(1080.0).sqrt_on_sphere(&eps);
+        let basis =
+            crate::subspace::Subspace::from_chi0(&engine.chi_static(), &vsqrt, eps.len() / 2).basis;
+        let bits = |ms: &[CMatrix]| -> Vec<u64> {
+            ms.iter()
+                .flat_map(|m| m.as_slice().iter())
+                .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+                .collect()
+        };
+        let run = || {
+            let mut t = ChiTimings::default();
+            let mut out = bits(&engine.chi_freqs(&[0.0, 0.4, 1.3]).0);
+            out.extend(bits(&engine.chi_imag_freqs(&[0.3, 2.0], &mut t)));
+            out.extend(bits(&engine.chi_freqs_subspace(
+                &[0.0, 1.3],
+                &basis,
+                &vsqrt,
+                &mut t,
+            )));
+            out
+        };
+        bgw_par::set_num_threads(1);
+        let reference = run();
+        for threads in [2usize, 4] {
+            bgw_par::set_num_threads(threads);
+            assert!(run() == reference, "{threads} workers differ from 1");
+        }
+        bgw_par::set_num_threads(0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The one driver-level error of `bgw-core`.
 //!
-//! Every `Result`-returning GW driver — the DAG spine, the checkpointed
-//! drivers, the fault-tolerant distributed driver and the imaginary-axis
-//! pipeline — fails with a [`GwError`]. The layer errors it wraps
+//! Every `Result`-returning GW driver — the checkpointed drivers, the
+//! fault-tolerant distributed driver and the imaginary-axis pipeline —
+//! fails with a [`GwError`]. The layer errors it wraps
 //! ([`EpsilonError`], [`CommError`], [`IoError`], [`SpaceTimeError`],
 //! [`PadeError`]) stay the typed surface of their own layers; `?` lifts
 //! them through the `From` impls below.
@@ -47,14 +47,6 @@ pub enum GwError {
         /// What failed to validate.
         reason: String,
     },
-    /// A DAG task ran with an empty input slot: the dependency that should
-    /// have filled it never deposited (it died or was misordered).
-    MissingInput {
-        /// The task that found its input missing.
-        task: &'static str,
-        /// Which input slot was empty.
-        input: &'static str,
-    },
     /// The space-time chi0 build failed.
     SpaceTime(SpaceTimeError),
     /// The Pade analytic continuation was degenerate.
@@ -75,9 +67,6 @@ impl std::fmt::Display for GwError {
             }
             Self::Malformed { stage, reason } => {
                 write!(f, "malformed checkpoint ({stage}): {reason}")
-            }
-            Self::MissingInput { task, input } => {
-                write!(f, "dag task '{task}' found input '{input}' missing")
             }
             Self::SpaceTime(e) => write!(f, "space-time chi0: {e}"),
             Self::Pade(e) => write!(f, "analytic continuation: {e}"),

@@ -23,7 +23,6 @@ pub mod chi;
 pub mod cohsex;
 pub mod convergence;
 pub mod coulomb;
-pub mod dagflow;
 pub mod dyson;
 pub mod epsilon;
 pub mod error;
@@ -47,7 +46,6 @@ pub use chi::{ChiConfig, ChiEngine};
 pub use cohsex::{cohsex_sigma, CohsexValue};
 pub use convergence::{sweep_bands, sweep_eps_cutoff, ConvergenceStudy};
 pub use coulomb::Coulomb;
-pub use dagflow::{run_gpp_gw_dag, DagGwResults};
 pub use dyson::{solve_qp_diag, solve_qp_full, QpState};
 pub use epsilon::{is_static_freq, EpsilonError, EpsilonInverse};
 pub use error::GwError;
@@ -63,10 +61,7 @@ pub use service::{
     sigma_context, FfEvalResult, FfSpec, Screening,
 };
 pub use sigma::diag::{gpp_sigma_diag, KernelVariant, SigmaDiagResult};
-pub use sigma::fullfreq::{
-    ff_sigma_diag, ff_sigma_diag_serial, ff_sigma_diag_subspace, ff_sigma_diag_subspace_serial,
-    SigmaFfResult,
-};
+pub use sigma::fullfreq::{ff_sigma_diag, ff_sigma_diag_subspace, SigmaFfResult};
 pub use sigma::imagaxis::{imag_axis_sigma_diag, SigmaImagAxisResult};
 pub use sigma::offdiag::{gpp_sigma_offdiag, gpp_sigma_offdiag_distributed, SigmaOffdiagResult};
 pub use sigma::SigmaContext;

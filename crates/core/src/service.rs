@@ -203,26 +203,28 @@ pub(crate) fn screen(
 ) -> Result<Screening, EpsilonError> {
     let p = prefix(system, cfg, timings);
     let t = Instant::now();
+    let quad = ff.map(|spec| semi_infinite_quadrature(spec.n_quad, 2.0));
     let (chi0, ff_chis) = {
         let _s = bgw_trace::span!("workflow.chi");
-        let engine = ChiEngine::new(&p.wf, &p.mtxel, p.chi_cfg);
-        let chi0 = engine.chi_static();
-        let ff_chis = ff.map(|spec| {
-            let (nodes, weights) = semi_infinite_quadrature(spec.n_quad, 2.0);
-            let (chis, _) = engine.chi_freqs(&nodes);
-            (chis, nodes, weights)
-        });
+        // One pass over the NV blocks: the static point first, then the
+        // quadrature nodes, so every MTXEL panel is built once.
+        let mut freqs = vec![0.0];
+        if let Some((nodes, _)) = &quad {
+            freqs.extend_from_slice(nodes);
+        }
+        let (mut chi0, _) = ChiEngine::new(&p.wf, &p.mtxel, p.chi_cfg).chi_freqs(&freqs);
+        let ff_chis = chi0.split_off(1);
         (chi0, ff_chis)
     };
     timings.t_chi = t.elapsed().as_secs_f64();
     let t = Instant::now();
     let (eps_inv, ff_built) = {
         let _s = bgw_trace::span!("workflow.epsilon");
-        let eps_inv = EpsilonInverse::build(&[chi0], &[0.0], &p.coulomb, &p.eps_sph)?;
-        let ff_built = match ff_chis {
+        let eps_inv = EpsilonInverse::build(&chi0, &[0.0], &p.coulomb, &p.eps_sph)?;
+        let ff_built = match quad {
             None => None,
-            Some((chis, nodes, weights)) => Some((
-                EpsilonInverse::build(&chis, &nodes, &p.coulomb, &p.eps_sph)?,
+            Some((nodes, weights)) => Some((
+                EpsilonInverse::build(&ff_chis, &nodes, &p.coulomb, &p.eps_sph)?,
                 weights,
             )),
         };

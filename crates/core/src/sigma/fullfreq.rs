@@ -23,8 +23,9 @@
 //! frequency loop runs over the `bgw_par` worker pool (the per-frequency
 //! GEMMs then execute inline inside their worker), as does the Sigma(E)
 //! grid assembly. The pre-recast scalar implementation is retained as the
-//! `_serial` oracle (same pattern as `fft3::process_serial`) and the
-//! pooled path is validated against it to 1e-12 across pool sizes.
+//! `_serial` oracle in [`testkit`](crate::testkit) (same pattern as
+//! `fft3::process_serial`) and the pooled path is validated against it to
+//! 1e-12 across pool sizes.
 //!
 //! Discarding the imaginary part of `q_k(n)` is exact only for Hermitian
 //! `B`; the guard in [`real_part_checked`] surfaces violations through a
@@ -107,50 +108,15 @@ pub fn ff_sigma_diag_subspace(
     )
 }
 
-/// Full-frequency Sigma on the full basis through the retained scalar
-/// oracle — the pre-recast triple-loop kernel, kept for validation (the
-/// pooled path must match it to 1e-12; see `tools/check.sh --ff`).
-pub fn ff_sigma_diag_serial(
-    ctx: &SigmaContext,
-    eps_ff: &EpsilonInverse,
-    weights: &[f64],
-    e_grids: &[Vec<f64>],
-    eta: f64,
-) -> SigmaFfResult {
-    let spectral = spectral_weights(eps_ff);
-    ff_sigma_impl_serial(ctx, &spectral, &eps_ff.omegas, weights, e_grids, eta, None)
-}
-
-/// Subspace-contracted FF Sigma through the retained scalar oracle.
-pub fn ff_sigma_diag_subspace_serial(
-    ctx: &SigmaContext,
-    eps_ff: &EpsilonInverse,
-    weights: &[f64],
-    e_grids: &[Vec<f64>],
-    eta: f64,
-    sub: &Subspace,
-) -> SigmaFfResult {
-    let spectral = spectral_weights_projected(eps_ff, sub);
-    ff_sigma_impl_serial(
-        ctx,
-        &spectral,
-        &eps_ff.omegas,
-        weights,
-        e_grids,
-        eta,
-        Some(sub),
-    )
-}
-
 /// Spectral weights `B(omega_k)` for every stored frequency.
-fn spectral_weights(eps_ff: &EpsilonInverse) -> Vec<CMatrix> {
+pub(crate) fn spectral_weights(eps_ff: &EpsilonInverse) -> Vec<CMatrix> {
     (0..eps_ff.n_freq())
         .map(|k| anti_hermitian_part(&eps_ff.correlation_part(k)))
         .collect()
 }
 
 /// Subspace-projected spectral weights.
-fn spectral_weights_projected(eps_ff: &EpsilonInverse, sub: &Subspace) -> Vec<CMatrix> {
+pub(crate) fn spectral_weights_projected(eps_ff: &EpsilonInverse, sub: &Subspace) -> Vec<CMatrix> {
     (0..eps_ff.n_freq())
         .map(|k| sub.project(&anti_hermitian_part(&eps_ff.correlation_part(k))))
         .collect()
@@ -293,7 +259,7 @@ fn ff_sigma_impl(
 /// The retained scalar oracle: the pre-recast triple-loop kernel. Same
 /// arithmetic per term as the pooled path (the only divergence is GEMM
 /// summation order), so the two agree to well below 1e-12.
-fn ff_sigma_impl_serial(
+pub(crate) fn ff_sigma_impl_serial(
     ctx: &SigmaContext,
     spectral: &[CMatrix],
     omegas: &[f64],
@@ -518,8 +484,9 @@ mod tests {
             .map(|&e| vec![e - 0.05, e, e + 0.05])
             .collect();
         let sub = Subspace::from_chi0(&setup.chi0, &setup.vsqrt, (ctx.n_g() / 2).max(2));
-        let oracle_full = ff_sigma_diag_serial(&ctx, &eps_ff, &weights, &grids, 0.05);
-        let oracle_sub = ff_sigma_diag_subspace_serial(&ctx, &eps_ff, &weights, &grids, 0.05, &sub);
+        let oracle_full = testkit::ff_sigma_diag_serial(&ctx, &eps_ff, &weights, &grids, 0.05);
+        let oracle_sub =
+            testkit::ff_sigma_diag_subspace_serial(&ctx, &eps_ff, &weights, &grids, 0.05, &sub);
         let max_diff = |a: &SigmaFfResult, b: &SigmaFfResult| {
             let mut worst = 0.0f64;
             for (ba, bb) in a.sigma.iter().zip(&b.sigma) {

@@ -1,15 +1,20 @@
-//! Shared small-system fixtures for tests, examples, and benches.
+//! Shared small-system fixtures and serial oracles for tests, examples,
+//! and benches.
 //!
 //! Builds a bulk-silicon model GW setup end to end (bands -> MTXEL ->
 //! chi -> epsilon -> GPP -> SigmaContext) at cutoffs small enough for unit
 //! tests, cached behind a `OnceLock` so the many test cases pay the cost
-//! once per process.
+//! once per process. The scalar full-frequency Sigma oracles the pooled
+//! kernels are validated against live here too, next to the fixtures
+//! rather than beside the production kernels in `sigma::fullfreq`.
 
 use crate::chi::ChiEngine;
 use crate::coulomb::Coulomb;
 use crate::epsilon::EpsilonInverse;
 use crate::service::{context, finish_screening, prefix};
+use crate::sigma::fullfreq::{self, SigmaFfResult};
 use crate::sigma::SigmaContext;
+use crate::subspace::Subspace;
 use crate::workflow::{GwConfig, GwTimings};
 use bgw_linalg::CMatrix;
 use bgw_pwdft::{charge_density_g, Crystal, GSphere, ModelSystem, Species, Wavefunctions};
@@ -80,6 +85,41 @@ static CACHE: OnceLock<(SigmaContext, TestSetup)> = OnceLock::new();
 /// A cached small Si GW context: `(SigmaContext, TestSetup)`.
 pub fn small_context() -> (SigmaContext, TestSetup) {
     CACHE.get_or_init(build).clone()
+}
+
+/// Full-frequency Sigma on the full basis through the retained scalar
+/// oracle — the pre-recast triple-loop kernel, kept for validation (the
+/// pooled path must match it to 1e-12; see `tools/check.sh --ff`).
+pub fn ff_sigma_diag_serial(
+    ctx: &SigmaContext,
+    eps_ff: &EpsilonInverse,
+    weights: &[f64],
+    e_grids: &[Vec<f64>],
+    eta: f64,
+) -> SigmaFfResult {
+    let spectral = fullfreq::spectral_weights(eps_ff);
+    fullfreq::ff_sigma_impl_serial(ctx, &spectral, &eps_ff.omegas, weights, e_grids, eta, None)
+}
+
+/// Subspace-contracted FF Sigma through the retained scalar oracle.
+pub fn ff_sigma_diag_subspace_serial(
+    ctx: &SigmaContext,
+    eps_ff: &EpsilonInverse,
+    weights: &[f64],
+    e_grids: &[Vec<f64>],
+    eta: f64,
+    sub: &Subspace,
+) -> SigmaFfResult {
+    let spectral = fullfreq::spectral_weights_projected(eps_ff, sub);
+    fullfreq::ff_sigma_impl_serial(
+        ctx,
+        &spectral,
+        &eps_ff.omegas,
+        weights,
+        e_grids,
+        eta,
+        Some(sub),
+    )
 }
 
 #[cfg(test)]

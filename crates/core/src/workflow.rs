@@ -434,6 +434,32 @@ mod tests {
     }
 
     #[test]
+    fn gpp_gw_is_bitwise_invariant_under_pool_width() {
+        let mut sys = si_bulk(1, 2.2);
+        sys.n_bands = 28;
+        let cfg = GwConfig::default();
+        let bits = |r: &GwResults| -> Vec<u64> {
+            let mut b = vec![
+                r.gap_mf_ry.to_bits(),
+                r.gap_qp_ry.to_bits(),
+                r.eps_macro.to_bits(),
+                r.sigma_flops,
+            ];
+            b.extend(r.states.iter().map(|s| s.e_qp.to_bits()));
+            b
+        };
+        let mut runs = Vec::new();
+        for threads in [1usize, 2, 4] {
+            bgw_par::set_num_threads(threads);
+            runs.push((threads, bits(&run_gpp_gw(&sys, &cfg))));
+        }
+        bgw_par::set_num_threads(0);
+        for (threads, b) in &runs[1..] {
+            assert_eq!(b, &runs[0].1, "{threads} workers vs 1");
+        }
+    }
+
+    #[test]
     fn full_pipeline_on_bulk_si() {
         let mut sys = si_bulk(1, 2.2);
         sys.n_bands = 28;

@@ -38,8 +38,9 @@
 //! that reduce into shared state must therefore either own disjoint slots
 //! (the common case: one slot per task) or defer combination to a
 //! dedicated reduction task that reads its inputs in a fixed order. The
-//! workflow DAGs in `core::dagflow` follow that rule, which is what makes
-//! the DAG path bit-exact against the barrier-ordered oracle.
+//! fault-tolerant driver in `core::resilient` gives every task its own
+//! slot and folds the slots in task order, which is what makes its
+//! results bit-identical at any pool width.
 //!
 //! A panic in any task cancels the remaining graph (no further tasks
 //! start) and resurfaces from [`TaskGraph::execute`] on the caller.

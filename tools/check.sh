@@ -23,12 +23,9 @@
 #                             persistence round trip (tune once, second
 #                             process picks the table up un-reswept,
 #                             corrupt/stale files degrade to defaults)
-#   tools/check.sh --dag      task-DAG smoke only: DAG-vs-barrier parity
-#                             (1e-12, exact FLOPs), barrier-vs-DAG
-#                             strong-scaling sweep (self-speedup gate
-#                             armed only on multi-core hosts), and a
-#                             faulted recovery run gating that ONLY the
-#                             dead rank's tasks are re-enqueued
+#   tools/check.sh --dag      task-DAG smoke only: a faulted recovery run
+#                             gating that ONLY the dead rank's tasks are
+#                             re-enqueued
 #   tools/check.sh --spacetime  space-time chi0 smoke only: cross-validates
 #                             the cubic-scaling imaginary-time path against
 #                             the dense imaginary-axis oracle on two roster
@@ -136,14 +133,10 @@ if [ "${1:-}" = "--simd" ]; then
 fi
 
 run_dag_smoke() {
-    echo "==> dag smoke: DAG-vs-barrier parity, strong-scaling sweep, faulted recovery"
-    # The task-DAG spine against the barrier-ordered oracle (QP parity
-    # 1e-12, bitwise-equal FLOP totals), a barrier-vs-DAG scaling sweep
-    # at 1/2/4 workers (the DAG must never be slower than 1.5x the
-    # barrier path and must win at the widest pool; the DAG-vs-itself
-    # speedup gate arms only when the host actually has >= 4 cores),
-    # and a rank-crash recovery run where the survivors must re-enqueue
-    # exactly the dead rank's CHI tasks — a strict subset of the stage.
+    echo "==> dag smoke: faulted task-granular recovery"
+    # A rank-crash recovery run where the survivors must re-enqueue
+    # exactly the dead rank's CHI tasks — a strict subset of the stage —
+    # and reproduce the fault-free QP energies to 1e-10.
     # Run in a temp dir so the smoke JSON never clobbers the committed
     # BENCH_task_dag.json.
     root=$(pwd)
@@ -196,7 +189,7 @@ run_serve_smoke() {
     # results must be bit-identical at every shard count, warm hits
     # preserved per shard, and on hosts with >= 4 cores the 4-shard run
     # must beat 1 shard by >= 1.5x throughput (disarmed on narrower
-    # hosts, like the DAG self-speedup gate). Run in a temp dir so the
+    # hosts). Run in a temp dir so the
     # smoke-sized JSON never clobbers the committed full BENCH_serve.json.
     root=$(pwd)
     servedir=$(mktemp -d)
@@ -222,7 +215,7 @@ echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
 # Determinism gate: the suite's bitwise parity claims (pool widths, shard
-# counts, DAG vs barrier, resume points) must hold at any worker count,
+# counts, chi's NV-block windows, resume points) must hold at any worker count,
 # not only the host's default. Oversubscribing a narrow host is fine —
 # determinism, not speed, is under test.
 for threads in 1 2 4; do
