@@ -9,21 +9,25 @@
 //!
 //! Execution runs on a lazily created, process-wide pool of parked worker
 //! threads. A parallel call publishes its body once (an epoch bump on a
-//! condition variable wakes the workers), every participant pulls chunks
-//! from a shared atomic counter, and the caller blocks until the region
-//! has quiesced. Workers then park again, so the per-call cost is a
-//! wake/park cycle instead of the thread spawn/join the previous
-//! implementation paid on *every* `parallel_for` — which sat on the hot
-//! path of every GW kernel (CHI_SUM, GPP diag/off-diag, GWPT, ZGEMM).
+//! condition variable wakes the workers) and opens the region; every
+//! participant pulls chunks from a shared atomic counter. A worker joins
+//! only while the region is still open, so once the caller has run its
+//! own share it closes the region and waits just for the workers that
+//! joined — a worker that wakes after the close parks again without
+//! touching the body. A region whose work the caller drains alone
+//! therefore never pays a wake-up round trip, and a region never costs a
+//! thread spawn/join (the previous implementation paid one on *every*
+//! `parallel_for`, on the hot path of every GW kernel: CHI_SUM, GPP
+//! diag/off-diag, GWPT, ZGEMM).
 //!
 //! Re-entrancy rule: a parallel call made from inside a parallel region
 //! (from a worker, or from the caller's own body), or while another OS
 //! thread is dispatching, runs inline on the calling thread. This makes
 //! nesting and concurrent callers deadlock-free by construction.
 //!
-//! The worker count defaults to the machine's available parallelism and
-//! can be overridden with the `BGW_THREADS` environment variable or
-//! [`set_num_threads`].
+//! The worker count defaults to the `BGW_THREADS` environment variable,
+//! else the machine's available parallelism, resolved once at first use;
+//! [`set_num_threads`] overrides it.
 
 #![warn(missing_docs)]
 
@@ -37,31 +41,35 @@ use std::time::Instant;
 
 static NUM_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Upper bound on pool threads, a guard against absurd `BGW_THREADS`.
+/// Upper bound on the width, a guard against absurd `BGW_THREADS`.
 const MAX_POOL_WORKERS: usize = 128;
 
 /// Sets the number of worker threads used by subsequent parallel calls.
-/// A value of 0 restores the automatic default.
+/// A value of 0 restores the default.
 pub fn set_num_threads(n: usize) {
     NUM_THREADS.store(n, Ordering::Relaxed);
 }
 
-/// Returns the number of worker threads parallel calls will use.
+/// Returns the number of worker threads parallel calls will use, at most
+/// 128: the [`set_num_threads`] override, else the default.
+///
+/// The default is `BGW_THREADS` when it parses to a value > 0, else the
+/// machine's available parallelism. It is resolved once, at first use:
+/// `available_parallelism` reads cgroup files, far too slow to repeat on
+/// every parallel call, and a later change to `BGW_THREADS` has no effect.
 pub fn num_threads() -> usize {
-    let n = NUM_THREADS.load(Ordering::Relaxed);
-    if n != 0 {
-        return n;
-    }
-    if let Ok(s) = std::env::var("BGW_THREADS") {
-        if let Ok(v) = s.parse::<usize>() {
-            if v > 0 {
-                return v;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    let n = match NUM_THREADS.load(Ordering::Relaxed) {
+        0 => *DEFAULT.get_or_init(|| {
+            std::env::var("BGW_THREADS")
+                .ok()
+                .and_then(|s| s.parse::<usize>().ok())
+                .filter(|&v| v > 0)
+                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        }),
+        n => n,
+    };
+    n.min(MAX_POOL_WORKERS)
 }
 
 /// Picks a chunk size that yields a few chunks per worker for dynamic load
@@ -166,18 +174,22 @@ impl Drop for RegionTimer {
 #[derive(Clone, Copy)]
 struct JobRef(*const (dyn Fn(usize) + Sync + 'static));
 // SAFETY: the pointee is `Sync` and the dispatcher keeps the referent alive
-// (and uniquely published) until every worker has finished the epoch.
+// until every worker that joined the epoch has finished it.
 unsafe impl Send for JobRef {}
 
 struct PoolState {
     /// Bumped once per published region; workers sleep until it changes.
     epoch: u64,
-    /// The current region body, valid for exactly one epoch.
+    /// The current region body, valid while the region is open.
     job: Option<JobRef>,
     /// Dispatcher's span at publish time; workers adopt it so their spans
     /// nest under the dispatching call in the trace tree.
     job_trace: Option<bgw_trace::Handle>,
-    /// Workers that have not yet finished the current epoch.
+    /// Worker slots below this may join the current region: its
+    /// participant count while it is open, 0 once the dispatcher has
+    /// closed it (and between regions).
+    joinable: usize,
+    /// Workers that joined the current region and have not finished it.
     active: usize,
     /// Worker threads spawned so far (they never exit).
     spawned: usize,
@@ -209,6 +221,7 @@ fn pool() -> &'static Pool {
             epoch: 0,
             job: None,
             job_trace: None,
+            joinable: 0,
             active: 0,
             spawned: 0,
             panicked: false,
@@ -222,37 +235,44 @@ fn pool() -> &'static Pool {
 fn worker_loop(p: &'static Pool, slot: usize, mut seen: u64) {
     IN_PARALLEL.with(|c| c.set(true));
     loop {
+        // Join the newest region only while it is open and wants this
+        // slot; otherwise park until the next epoch without touching it.
         let (job, job_trace) = {
             let mut st = lock_state(p);
-            while st.epoch == seen {
-                st = p.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+            loop {
+                while st.epoch == seen {
+                    st = p.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+                }
+                seen = st.epoch;
+                if slot < st.joinable {
+                    break;
+                }
             }
-            seen = st.epoch;
-            (st.job, st.job_trace)
+            st.active += 1;
+            (st.job.expect("an open region has a body"), st.job_trace)
         };
-        let panicked = match job {
-            Some(j) => {
-                let _adopt = job_trace.map(bgw_trace::adopt);
-                let _span = bgw_trace::span!("par.worker");
-                let timer = RegionTimer::start();
-                // SAFETY: the dispatcher keeps the body alive until this
-                // epoch quiesces (it waits for `active == 0` below).
-                let panicked = catch_unwind(AssertUnwindSafe(|| (unsafe { &*j.0 })(slot))).is_err();
-                let (_wall, excl) = timer.finish();
-                bgw_perf::counters::record_pool_region_ns(excl);
-                // Top of the worker: drop the residue a finished region
-                // reports upward so the next epoch starts clean.
-                CHILD_PAR_NS.with(|c| c.set(0));
-                panicked
-            }
-            None => false,
+        let panicked = {
+            let _adopt = job_trace.map(bgw_trace::adopt);
+            let _span = bgw_trace::span!("par.worker");
+            let timer = RegionTimer::start();
+            // SAFETY: this worker joined while the region was open, so the
+            // dispatcher keeps the body alive until it has checked out
+            // below (the dispatcher waits for `active == 0`).
+            let panicked = catch_unwind(AssertUnwindSafe(|| (unsafe { &*job.0 })(slot))).is_err();
+            let (_wall, excl) = timer.finish();
+            bgw_perf::counters::record_pool_region_ns(excl);
+            // Top of the worker: drop the residue a finished region
+            // reports upward so the next epoch starts clean.
+            CHILD_PAR_NS.with(|c| c.set(0));
+            panicked
         };
         let mut st = lock_state(p);
         if panicked {
             st.panicked = true;
         }
         st.active -= 1;
-        if st.active == 0 {
+        // Only a closed region has a dispatcher waiting on `done_cv`.
+        if st.active == 0 && st.joinable == 0 {
             p.done_cv.notify_all();
         }
     }
@@ -262,7 +282,7 @@ fn worker_loop(p: &'static Pool, slot: usize, mut seen: u64) {
 /// the current epoch so a thread born between regions never mistakes an
 /// old epoch for fresh work.
 fn spawn_to(st: &mut PoolState, target: usize) {
-    while st.spawned < target.min(MAX_POOL_WORKERS) {
+    while st.spawned < target {
         let slot = st.spawned + 1; // slot 0 is the dispatcher
         let epoch = st.epoch;
         let spawned = std::thread::Builder::new()
@@ -276,10 +296,14 @@ fn spawn_to(st: &mut PoolState, target: usize) {
     }
 }
 
-/// Runs `job` on the pool with `participants` total executors (the caller
-/// is slot 0). Returns `false` — without running anything — when the
-/// region must run inline instead (single participant, nested call, or
-/// another thread is mid-dispatch).
+/// Runs `job` on the pool with up to `participants` executors. The caller
+/// is slot 0 and always runs; worker slots run only if they join before
+/// the caller's share returns, so `job(0)` alone must finish the region's
+/// work (every body here drains a shared counter or deque set).
+///
+/// Returns `false` — without running anything — when the region must run
+/// inline instead (single participant, nested call, or another thread is
+/// mid-dispatch).
 pub(crate) fn pool_run(participants: usize, job: &(dyn Fn(usize) + Sync)) -> bool {
     if participants <= 1 || IN_PARALLEL.with(|c| c.get()) {
         return false;
@@ -299,8 +323,9 @@ pub(crate) fn pool_run(participants: usize, job: &(dyn Fn(usize) + Sync)) -> boo
     let region = RegionTimer::start();
     let t0 = Instant::now();
     let ptr: *const (dyn Fn(usize) + Sync) = job;
-    // SAFETY: lifetime erasure only; the quiesce loop below keeps `job`
-    // borrowed until no worker can still be executing it.
+    // SAFETY: lifetime erasure only; the join loop below keeps `job`
+    // borrowed until the region is closed and every worker that joined it
+    // has checked out, so no worker can still be executing it.
     let job_ref = JobRef(unsafe {
         std::mem::transmute::<*const (dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync + 'static)>(
             ptr,
@@ -311,7 +336,7 @@ pub(crate) fn pool_run(participants: usize, job: &(dyn Fn(usize) + Sync)) -> boo
         spawn_to(&mut st, participants - 1);
         st.job = Some(job_ref);
         st.job_trace = Some(trace_handle);
-        st.active = st.spawned;
+        st.joinable = participants;
         st.epoch += 1;
         p.work_cv.notify_all();
     }
@@ -331,6 +356,9 @@ pub(crate) fn pool_run(participants: usize, job: &(dyn Fn(usize) + Sync)) -> boo
     let worker_panicked = {
         let _join_span = bgw_trace::span!("par.join");
         let mut st = lock_state(p);
+        // Close the region: a worker that wakes from here on parks again,
+        // so the wait below covers only the workers that joined.
+        st.joinable = 0;
         while st.active > 0 {
             st = p.done_cv.wait(st).unwrap_or_else(|e| e.into_inner());
         }
@@ -339,8 +367,8 @@ pub(crate) fn pool_run(participants: usize, job: &(dyn Fn(usize) + Sync)) -> boo
         std::mem::replace(&mut st.panicked, false)
     };
     // Everything the dispatching thread spent beyond its own body share
-    // is dispatch overhead: job publish, worker wakeup, and the quiesce
-    // wait for stragglers. Body execution is charged to the region
+    // is dispatch overhead: job publish, worker wakeup, and the wait for
+    // joined stragglers. Body execution is charged to the region
     // counters above, never here. `region.finish()` also reports the
     // whole pooled region as one nested region to the enclosing level.
     let total = t0.elapsed().as_nanos() as u64;
@@ -601,10 +629,85 @@ mod tests {
     #[test]
     fn thread_count_override() {
         let _g = test_guard();
+        set_num_threads(0);
+        let default = num_threads();
+        assert!((1..=MAX_POOL_WORKERS).contains(&default));
         set_num_threads(3);
         assert_eq!(num_threads(), 3);
         set_num_threads(0);
-        assert!(num_threads() >= 1);
+        assert_eq!(num_threads(), default, "0 restores the cached default");
+        // Callers size buffers from the width (chi's NV-block window), so
+        // an absurd override must read back clamped to what the pool
+        // allows. No region runs at this width.
+        set_num_threads(MAX_POOL_WORKERS + 1000);
+        assert_eq!(num_threads(), MAX_POOL_WORKERS);
+        set_num_threads(0);
+    }
+
+    /// Back-to-back tiny regions race the close of each region against
+    /// late-waking workers. A body may run only while its own dispatching
+    /// call is in flight — one that ran after the call returned would read
+    /// a dead stack frame — and every chunk must run exactly once.
+    #[test]
+    fn tiny_regions_run_only_while_their_call_is_in_flight() {
+        use crate::dag::TaskGraph;
+        // Id of the call in flight; 0 between calls.
+        static IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
+        let _g = test_guard();
+        let mut call = 0usize;
+        for threads in [2usize, 3, 4] {
+            set_num_threads(threads);
+            for round in 0..10_000usize {
+                call += 1;
+                let n = 1 + round % 6;
+                let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+                let hit = |i: usize| {
+                    assert_eq!(
+                        IN_FLIGHT.load(Ordering::SeqCst),
+                        call,
+                        "body outlived its call"
+                    );
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                };
+                IN_FLIGHT.store(call, Ordering::SeqCst);
+                match round % 3 {
+                    0 => parallel_for_chunked(n, 1, |lo, hi| (lo..hi).for_each(hit)),
+                    1 => {
+                        let sum = parallel_reduce(
+                            n,
+                            1,
+                            || 0usize,
+                            |acc, lo, hi| {
+                                for i in lo..hi {
+                                    hit(i);
+                                    *acc += i;
+                                }
+                            },
+                            |a, b| a + b,
+                        );
+                        assert_eq!(sum, n * (n - 1) / 2);
+                    }
+                    _ => {
+                        // A root fanning out to independent leaves.
+                        let mut g = TaskGraph::new();
+                        let root = g.add(&[], move || hit(0));
+                        for i in 1..n {
+                            g.add(&[root], move || hit(i));
+                        }
+                        assert_eq!(g.execute().tasks, n);
+                    }
+                }
+                IN_FLIGHT.store(0, Ordering::SeqCst);
+                for (i, h) in hits.iter().enumerate() {
+                    assert_eq!(
+                        h.load(Ordering::Relaxed),
+                        1,
+                        "chunk {i} of call {call} (threads {threads})"
+                    );
+                }
+            }
+        }
+        set_num_threads(0);
     }
 
     #[test]
@@ -1087,8 +1190,20 @@ mod tests {
         bgw_trace::set_enabled(true);
         {
             let _t = bgw_trace::span!("t.par.pooled");
+            // The dispatcher may drain a region before any worker joins,
+            // so its share holds the region open (at most 1 s) until a
+            // worker has run part of it.
+            let dispatcher = std::thread::current().id();
+            let worker_ran = std::sync::atomic::AtomicBool::new(false);
+            let deadline = Instant::now() + std::time::Duration::from_secs(1);
             parallel_for(4096, |_| {
-                std::hint::black_box(());
+                if std::thread::current().id() != dispatcher {
+                    worker_ran.store(true, Ordering::Release);
+                } else {
+                    while !worker_ran.load(Ordering::Acquire) && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                }
             });
         }
         bgw_trace::set_enabled(false);

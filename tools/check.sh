@@ -6,8 +6,10 @@
 #
 # Usage:
 #   tools/check.sh            full gate (build, tests at the default and at
-#                             BGW_THREADS=1/2/4, gwbench build + self-tests,
-#                             fmt, clippy, smokes)
+#                             BGW_THREADS=1/2/4, a pool-race loop running
+#                             the bgw-par tests 20 times each at
+#                             BGW_THREADS=2 and 4, gwbench build +
+#                             self-tests, fmt, clippy, smokes)
 #   tools/check.sh --faults   fault-injection smoke only (builds the bin
 #                             first if needed)
 #   tools/check.sh --trace    traced-GPP smoke only: span tree + run
@@ -221,6 +223,24 @@ cargo test -q --workspace
 for threads in 1 2 4; do
     echo "==> BGW_THREADS=$threads cargo test -q --workspace"
     BGW_THREADS=$threads cargo test -q --workspace
+done
+
+# Pool-race loop: a pooled region closes as soon as its caller has run its
+# own share, racing workers that are still waking up, so the runtime's
+# join-while-open protocol is exercised under repeated scheduling at two
+# widths. One run only shows the interleavings that happened to occur;
+# output is printed only for a failing run.
+for threads in 2 4; do
+    echo "==> pool-race loop: BGW_THREADS=$threads cargo test -q -p bgw-par (x20)"
+    i=0
+    while [ "$i" -lt 20 ]; do
+        out=$(BGW_THREADS=$threads cargo test -q -p bgw-par 2>&1) || {
+            echo "$out"
+            echo "pool-race loop failed at BGW_THREADS=$threads, run $((i + 1))"
+            exit 1
+        }
+        i=$((i + 1))
+    done
 done
 
 # gwbench is a package of its own (BENCHMARK.json runs it), so the
